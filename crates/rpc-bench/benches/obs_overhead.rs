@@ -4,22 +4,26 @@
 //!
 //! * `plain`      — [`run_scenario`], the default entry point (internally the
 //!   observed path monomorphized at [`NoopObserver`]);
-//! * `noop`       — [`run_scenario_observed`] with an explicit
-//!   [`NoopObserver`]. The contract is that this is the *same machine code*
-//!   as `plain`: `Observer::ENABLED == false` makes every event construction
-//!   dead code. CI enforces the ≤2% bound with the `obs_overhead_gate`
-//!   binary (criterion runs single-shot there);
+//! * `noop`       — [`run_scenario_observed_in`] on a fresh arena with an
+//!   explicit [`NoopObserver`]. The contract is that this is the *same
+//!   machine code* as `plain`: `Observer::ENABLED == false` makes every
+//!   event construction dead code. CI enforces the ≤2% bound with the
+//!   `obs_overhead_gate` binary (criterion runs single-shot there);
 //! * `aggregator` — a real in-memory sink, measuring what attaching a cheap
 //!   observer actually costs (informational, not gated).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rpc_obs::{Aggregator, NoopObserver};
+use rpc_obs::{Aggregator, NoopObserver, Observer};
 use rpc_scenarios::prelude::*;
-use rpc_scenarios::run_scenario_observed;
 
 const SEED: u64 = 0xC0FFEE;
+
+/// One observed run on fresh storage, like [`run_scenario`].
+fn observed<O: Observer>(scenario: &Scenario, obs: &mut O) -> u64 {
+    run_scenario_observed_in(&mut ScenarioArena::default(), scenario, SEED, 1, obs).rounds
+}
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let n = 1 << 10;
@@ -38,14 +42,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("noop", protocol.name()),
             &scenario,
-            |b, scenario| {
-                b.iter(|| {
-                    black_box(
-                        run_scenario_observed(black_box(scenario), SEED, 1, &mut NoopObserver)
-                            .rounds,
-                    )
-                })
-            },
+            |b, scenario| b.iter(|| black_box(observed(black_box(scenario), &mut NoopObserver))),
         );
         group.bench_with_input(
             BenchmarkId::new("aggregator", protocol.name()),
@@ -53,8 +50,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
             |b, scenario| {
                 b.iter(|| {
                     let mut agg = Aggregator::new();
-                    let rounds =
-                        run_scenario_observed(black_box(scenario), SEED, 1, &mut agg).rounds;
+                    let rounds = observed(black_box(scenario), &mut agg);
                     black_box((rounds, agg.total_events()))
                 })
             },

@@ -3,7 +3,7 @@
 //! Measures scenario *repetitions* — the unit of work of a Monte Carlo batch
 //! — in two modes over identical seeds: `fresh` (allocate graph + simulation
 //! per repetition) and `arena` (per-worker [`rpc_scenarios::ScenarioArena`]
-//! reuse, the batch driver's path). Outcomes are asserted equal on every
+//! reuse, the sweep worker's path). Outcomes are asserted equal on every
 //! repetition, and the run starts with a registry-wide fresh-vs-arena trace
 //! comparison, so a passing baseline is also an equivalence check — CI runs
 //! `--quick` for exactly that assertion.

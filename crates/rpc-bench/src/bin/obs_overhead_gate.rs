@@ -1,11 +1,12 @@
 //! CI gate for the observability layer's zero-cost contract.
 //!
 //! Runs the scenario round loop A/B — plain [`run_scenario`] vs the observed
-//! path monomorphized at [`NoopObserver`] — with interleaved repetitions, and
-//! exits non-zero if the no-op observed median is more than `--tolerance`
-//! slower than the plain median on any protocol. The vendored criterion
-//! harness runs single-shot in CI, so this binary (not the `obs_overhead`
-//! bench) is what enforces the ≤2% bound from the PR contract.
+//! path monomorphized at [`NoopObserver`], each on fresh storage — with
+//! interleaved repetitions, and exits non-zero if the no-op observed median
+//! is more than `--tolerance` slower than the plain median on any protocol.
+//! The vendored criterion harness runs single-shot in CI, so this binary (not
+//! the `obs_overhead` bench) is what enforces the zero-cost contract's ≤2%
+//! bound.
 //!
 //! ```text
 //! obs_overhead_gate [--quick] [--reps R] [--tolerance F] [--seed S]
@@ -20,7 +21,6 @@ use std::time::Instant;
 
 use rpc_obs::NoopObserver;
 use rpc_scenarios::prelude::*;
-use rpc_scenarios::run_scenario_observed;
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
@@ -81,8 +81,18 @@ fn main() {
         // One warm-up pair so page faults and lazy init hit neither arm's
         // samples, then interleave: host noise (shared VM, frequency drift)
         // drifts over seconds, so alternating A/B keeps it common-mode.
+        // The no-op arm allocates a fresh arena per run, like `run_scenario`.
+        let noop_run = || {
+            run_scenario_observed_in(
+                &mut ScenarioArena::default(),
+                &scenario,
+                seed,
+                1,
+                &mut NoopObserver,
+            )
+        };
         let _ = run_scenario(&scenario, seed, 1);
-        let _ = run_scenario_observed(&scenario, seed, 1, &mut NoopObserver);
+        let _ = noop_run();
         let mut plain = Vec::with_capacity(reps);
         let mut noop = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -90,7 +100,7 @@ fn main() {
             let a = run_scenario(&scenario, seed, 1).rounds;
             plain.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
-            let b = run_scenario_observed(&scenario, seed, 1, &mut NoopObserver).rounds;
+            let b = noop_run().rounds;
             noop.push(t.elapsed().as_secs_f64());
             assert_eq!(a, b, "no-op observed run diverged from plain run");
         }

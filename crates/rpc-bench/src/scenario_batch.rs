@@ -8,9 +8,10 @@
 //!
 //! * **fresh** — [`rpc_scenarios::run_scenario`]: every repetition allocates
 //!   its graph and its simulation from scratch (the pre-ISSUE-5 path);
-//! * **arena** — [`rpc_scenarios::run_scenario_in`]: all repetitions run
-//!   through one warmed-up [`ScenarioArena`], so graph buffers, state tables
-//!   and delivery pools are reused (the batch driver's path).
+//! * **arena** — [`rpc_scenarios::run_scenario_observed_in`]: all
+//!   repetitions run through one warmed-up [`ScenarioArena`], so graph
+//!   buffers, state tables and delivery pools are reused (the sweep worker's
+//!   path).
 //!
 //! Both modes are bit-identical by contract; the measurement loop asserts
 //! the outcomes equal on **every** repetition, so a full baseline run is
@@ -30,10 +31,11 @@
 use std::time::Instant;
 
 use rpc_engine::derive_seed;
+use rpc_obs::NoopObserver;
 use rpc_scenarios::registry;
 use rpc_scenarios::{
-    run_scenario, run_scenario_in, run_scenario_traced, run_scenario_traced_in, ProtocolSpec,
-    Scenario, ScenarioArena, StopRule, TopologySpec,
+    run_scenario, run_scenario_observed_in, run_scenario_traced, ProtocolSpec, Scenario,
+    ScenarioArena, ScenarioTrace, StopRule, TopologySpec,
 };
 
 /// The benchmark protocol keys (the crate-level canonical list).
@@ -89,9 +91,11 @@ pub fn measure_cell(
 ) -> (BatchMeasurement, BatchMeasurement) {
     assert!(reps > 0, "at least one repetition is required");
     let mut arena = ScenarioArena::default();
-    // One untimed warm-up so "arena" measures the steady state the batch
-    // driver reaches after its first cell.
-    let _ = run_scenario_in(&mut arena, scenario, derive_seed(seed, u64::MAX, 0), 1);
+    let mut run_in =
+        |seed| run_scenario_observed_in(&mut arena, scenario, seed, 1, &mut NoopObserver);
+    // One untimed warm-up so "arena" measures the steady state a sweep
+    // worker reaches after its first cell.
+    let _ = run_in(derive_seed(seed, u64::MAX, 0));
     let mut fresh_ns = Vec::with_capacity(reps);
     let mut arena_ns = Vec::with_capacity(reps);
     for rep in 0..reps {
@@ -108,7 +112,7 @@ pub fn measure_cell(
                 fresh_outcome = Some(outcome);
             } else {
                 let start = Instant::now();
-                let outcome = run_scenario_in(&mut arena, scenario, rep_seed, 1);
+                let outcome = run_in(rep_seed);
                 arena_ns.push(start.elapsed().as_nanos() as f64);
                 arena_outcome = Some(outcome);
             }
@@ -157,7 +161,8 @@ pub fn registry_smoke(n: usize, seed: u64) -> Result<usize, String> {
     let scenarios = registry::builtin(n);
     for scenario in &scenarios {
         let fresh = run_scenario_traced(scenario, seed, 1);
-        let reused = run_scenario_traced_in(&mut arena, scenario, seed, 1);
+        let mut trace = ScenarioTrace::default();
+        let reused = (run_scenario_observed_in(&mut arena, scenario, seed, 1, &mut trace), trace);
         if fresh != reused {
             return Err(format!(
                 "arena path diverged from fresh path on registry scenario `{}`",

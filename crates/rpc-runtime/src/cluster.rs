@@ -21,12 +21,14 @@ use std::collections::BinaryHeap;
 
 use rpc_graphs::NodeId;
 use rpc_obs::{NoopObserver, Observer};
-use rpc_scenarios::{plan_runtime, scenario_engine_seeds, Scenario, ScenarioError, StoppedBy};
+use rpc_scenarios::{
+    plan_runtime, scenario_engine_seeds, RoundTrace, Scenario, ScenarioError, StoppedBy,
+};
 
 use crate::host::{ChannelEnds, ChannelTransport, NodeHost};
 use crate::nemesis::{FaultStats, Nemesis, NemesisSpec};
 use crate::node::NodeActor;
-use crate::sync::{Coordinator, RetryPolicy, RuntimeRow};
+use crate::sync::{Coordinator, RetryPolicy};
 use crate::wire::{parse_node_name, Body, Envelope, COORDINATOR};
 
 /// Everything configurable about a cluster run besides the scenario itself.
@@ -68,7 +70,7 @@ pub struct RuntimeOutcome {
     /// Cumulative opened channels across all acked rounds.
     pub total_exchanges: u64,
     /// The per-round trace (round 0 first) — the simulator-equality anchor.
-    pub trace: Vec<RuntimeRow>,
+    pub trace: Vec<RoundTrace>,
     /// Retransmissions the coordinator sent.
     pub retries: u64,
     /// Rounds advanced degraded (quorum or retry exhaustion).

@@ -27,13 +27,16 @@
 //!
 //! ## The correctness anchor
 //!
-//! With a benign nemesis, [`run_cluster`]'s per-round trace
-//! ([`RuntimeRow`]) equals the in-process executor's `ScenarioTrace` row
-//! for row — same seeds, same placement, same schedule, same packet
-//! accounting. The `runtime_props` differential suite pins this. Under
-//! faults the trace may stretch (retries, skipped acks), but the invariants
-//! hold: no rumor is forged, per-node coverage is monotone, and
-//! crash-restarted nodes rejoin with their persisted state.
+//! With a benign nemesis, [`run_cluster`]'s per-round trace equals the
+//! in-process executor's `ScenarioTrace` row for row — both are
+//! `RoundTrace` rows, compared with `==`: same seeds, same placement, same
+//! schedule, same packet accounting. The coordinator emits the same `round`
+//! events as the executor, so a `ScenarioTrace` attached to
+//! [`run_cluster_observed`] records the same rows. The `runtime_props`
+//! differential suite pins this. Under faults the trace may stretch
+//! (retries, skipped acks), but the invariants hold: no rumor is forged,
+//! per-node coverage is monotone, and crash-restarted nodes rejoin with
+//! their persisted state.
 
 pub mod cluster;
 pub mod host;
@@ -50,13 +53,13 @@ pub use host::{
 pub use nemesis::{CrashPlan, FaultStats, Nemesis, NemesisSpec};
 pub use node::NodeActor;
 pub use store::RumorStore;
-pub use sync::{Coordinator, RetryPolicy, RuntimeRow};
+pub use sync::{Coordinator, RetryPolicy};
 pub use wire::{Body, Envelope, WireError, COORDINATOR};
 
 /// Convenience re-exports of the most commonly used runtime types.
 pub mod prelude {
     pub use crate::cluster::{run_cluster, ClusterConfig, RuntimeOutcome};
     pub use crate::nemesis::NemesisSpec;
-    pub use crate::sync::{RetryPolicy, RuntimeRow};
+    pub use crate::sync::RetryPolicy;
     pub use crate::wire::{Body, Envelope};
 }

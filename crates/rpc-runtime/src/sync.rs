@@ -5,8 +5,9 @@
 //! in-process scenario executor — trace row, stop rule, round cap, next
 //! round — except that "execute one round" becomes a distributed handshake:
 //! broadcast `start_round`, collect `round_ok` acks, and arbitrate the
-//! stragglers with timers. Its trace ([`RuntimeRow`]) is field-for-field the
-//! executor's `RoundTrace`, which is what the differential suite pins.
+//! stragglers with timers. It records its trace the way any observer does,
+//! from the `round` events it emits, into the executor's [`ScenarioTrace`] —
+//! which is what the differential suite pins.
 //!
 //! Timers are ordinary envelopes the coordinator addresses to itself
 //! ([`crate::wire::Body::Tick`]); the transport scheduler delivers them
@@ -23,7 +24,7 @@
 
 use rpc_graphs::NodeId;
 use rpc_obs::{ObsEvent, Observer};
-use rpc_scenarios::{coverage_target, RuntimePlan, StopRule, StoppedBy};
+use rpc_scenarios::{coverage_target, RoundTrace, RuntimePlan, ScenarioTrace, StopRule, StoppedBy};
 
 use crate::wire::{node_name, Body, Envelope, COORDINATOR};
 
@@ -54,20 +55,6 @@ impl RetryPolicy {
             .min(self.backoff_cap)
             .max(self.timeout_ticks)
     }
-}
-
-/// One row of the runtime's per-round trace — field-for-field the scenario
-/// executor's `RoundTrace` (minus the thread-diagnostic core counters).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RuntimeRow {
-    /// Completed rounds at capture time.
-    pub round: u64,
-    /// Nodes reporting a full rumor set.
-    pub fully_informed: usize,
-    /// Nodes reporting the tracked rumor.
-    pub tracked_informed: usize,
-    /// Cumulative packets sent.
-    pub packets: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +92,7 @@ pub struct Coordinator {
     total_exchanges: u64,
     retries: u64,
     quorum_advances: u64,
-    trace: Vec<RuntimeRow>,
+    trace: ScenarioTrace,
     stopped: Option<StoppedBy>,
 }
 
@@ -132,7 +119,7 @@ impl Coordinator {
             total_exchanges: 0,
             retries: 0,
             quorum_advances: 0,
-            trace: Vec::new(),
+            trace: ScenarioTrace::default(),
             stopped: None,
         }
     }
@@ -173,8 +160,8 @@ impl Coordinator {
     }
 
     /// The per-round trace (one row per completed round, plus round 0).
-    pub fn trace(&self) -> &[RuntimeRow] {
-        &self.trace
+    pub fn trace(&self) -> &[RoundTrace] {
+        &self.trace.rounds
     }
 
     /// Cumulative packets across all counted acks.
@@ -409,19 +396,15 @@ impl Coordinator {
         self.count_history.push(self.counts.clone());
         let fully = self.informed.iter().filter(|&&i| i).count();
         let tracked = self.tracked.iter().filter(|&&t| t).count();
-        self.trace.push(RuntimeRow {
+        let row = ObsEvent::Round {
             round: self.rounds_done,
             fully_informed: fully,
             tracked_informed: tracked,
             packets: self.total_packets,
-        });
+        };
+        self.trace.record(&row);
         if O::ENABLED {
-            obs.record(&ObsEvent::Round {
-                round: self.rounds_done,
-                fully_informed: fully,
-                tracked_informed: tracked,
-                packets: self.total_packets,
-            });
+            obs.record(&row);
         }
         let stopped = match self.plan.stop {
             StopRule::Complete => (fully == self.plan.n).then_some(StoppedBy::Complete),
@@ -514,7 +497,7 @@ mod tests {
         assert_eq!(c.trace().len(), 1);
         assert_eq!(
             c.trace()[0],
-            RuntimeRow { round: 0, fully_informed: 0, tracked_informed: 1, packets: 0 }
+            RoundTrace { round: 0, fully_informed: 0, tracked_informed: 1, packets: 0 }
         );
         assert_eq!(c.current_round(), 1);
         assert_eq!(

@@ -19,11 +19,11 @@
 
 use rpc_engine::PhaseSnapshot;
 use rpc_gossip::{FastGossipingConfig, MemoryGossip, MemoryGossipConfig};
-use rpc_obs::CoreRounds;
+use rpc_obs::{CoreRounds, NoopObserver};
 
 use crate::exec::{
-    run_fast_tuned_in, run_scenario_in, scenario_engine_seeds, ScenarioArena, ScenarioOutcome,
-    StoppedBy,
+    run_fast_tuned_in, run_scenario_observed_in, scenario_engine_seeds, ScenarioArena,
+    ScenarioOutcome, StoppedBy,
 };
 use crate::spec::{ProtocolSpec, Scenario, ScenarioError, TopologySpec};
 
@@ -43,7 +43,7 @@ pub enum Probe {
 #[derive(Clone, Debug, PartialEq)]
 pub enum CellJob {
     /// A declarative scenario run through the stepper path, exactly like
-    /// [`run_scenario_in`].
+    /// [`run_scenario_observed_in`].
     Scenario {
         /// The scenario to replicate (boxed: a full `Scenario` with its
         /// hostile-environment dimensions dwarfs the other variants).
@@ -221,7 +221,7 @@ pub fn run_cell(arena: &mut ScenarioArena, job: &CellJob, seed: u64) -> RepOutco
 pub fn run_cell_meta(arena: &mut ScenarioArena, job: &CellJob, seed: u64) -> (RepOutcome, RepMeta) {
     match job {
         CellJob::Scenario { scenario, probe } => {
-            let outcome = run_scenario_in(arena, scenario, seed, 1);
+            let outcome = run_scenario_observed_in(arena, scenario, seed, 1, &mut NoopObserver);
             let meta = RepMeta { rounds: outcome.rounds, cores: outcome.core_rounds };
             (scenario_rep(scenario.num_nodes(), &outcome, *probe == Probe::Phases), meta)
         }

@@ -13,31 +13,40 @@
 //! Every protocol — push-pull *and* the phase-based fast-gossiping and
 //! memory-model algorithms — is driven through the resumable
 //! [`rpc_gossip::ProtocolDriver`] interface, one synchronous round per step.
-//! The executor evaluates the stop rule between any two rounds, records one
-//! [`RoundTrace`] row per evaluation, enforces the scenario's `max_rounds`
+//! The executor evaluates the stop rule between any two rounds, emits one
+//! [`ObsEvent::Round`] per evaluation, enforces the scenario's `max_rounds`
 //! cap uniformly, and reports *why* the run ended in
 //! [`ScenarioOutcome::stopped_by`]. Because each driver consumes randomness
 //! exactly like its block `run_on_engine` entry point, a stepped run under
 //! [`StopRule::Complete`] is bit-identical to the legacy block run.
 //!
-//! The execution core is generic over [`rpc_engine::Engine`], so the same
-//! scheduling, driving and measuring code runs on two engines:
+//! ## Five entry points, one core
 //!
-//! * [`run_scenario`] / [`run_scenario_traced`] — the packed, word-parallel
-//!   production [`Simulation`];
+//! Every entry point is a one-line wrapper over one private execution core,
+//! generic over [`rpc_engine::Engine`] and [`Observer`]:
+//!
+//! * [`run_scenario_observed_in`] — the packed, word-parallel production
+//!   [`Simulation`], checked out of a reusable [`ScenarioArena`], with any
+//!   observer attached;
+//! * [`run_scenario`] / [`run_scenario_traced`] — the same packed path on a
+//!   fresh default arena;
 //! * [`run_scenario_unpacked`] / [`run_scenario_unpacked_traced`] — the
 //!   [`UnpackedSimulation`] oracle (`Vec<bool>` bookkeeping, O(n) scans).
 //!
-//! Both consume randomness identically, so for any `(scenario, seed)` the two
-//! must produce identical outcomes *and* identical per-round traces; the
-//! property tests in `tests/packed_vs_unpacked.rs` assert exactly that across
-//! the registry and randomized scenarios.
+//! A [`ScenarioTrace`] is itself an observer: it keeps the `round` events as
+//! [`RoundTrace`] rows and ignores the rest, so a traced run is an observed
+//! run. Pair it with another sink as `(&mut trace, &mut other)`.
+//!
+//! Both engines consume randomness identically, so for any `(scenario, seed)`
+//! the two must produce identical outcomes *and* identical per-round traces;
+//! the property tests in `tests/packed_vs_unpacked.rs` assert exactly that
+//! across the registry and randomized scenarios.
 //!
 //! Coverage bookkeeping is word-parallel on the packed engine: the tracked
 //! rumor's knower set is maintained incrementally
-//! ([`Simulation::track_message`]), the coverage stop rule reads a
-//! popcount-backed counter instead of scanning all `n` states per round, and
-//! the final participating/informed counts are single popcount passes.
+//! ([`rpc_engine::Simulation::track_message`]), the coverage stop rule reads
+//! a popcount-backed counter instead of scanning all `n` states per round,
+//! and the final participating/informed counts are single popcount passes.
 //!
 //! ## Multi-rumor streaming
 //!
@@ -88,6 +97,12 @@ const STREAM_RUN: u64 = 0x0375_6e21;
 /// and RNG stream the stepped side uses.
 pub fn scenario_engine_seeds(seed: u64) -> (u64, u64) {
     (derive_seed(seed, STREAM_GRAPH, 0), derive_seed(seed, STREAM_RUN, 0))
+}
+
+/// The environment stream of `seed`: churn, crash, edge-churn and Byzantine
+/// sampling, then rumor placement and the injection schedule.
+fn env_rng(seed: u64) -> SmallRng {
+    SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0))
 }
 
 /// Everything the node runtime (`rpc-runtime`) needs to replicate a scenario
@@ -157,8 +172,7 @@ pub fn plan_runtime(
     let (graph_seed, run_seed) = scenario_engine_seeds(seed);
     // Benign environments schedule nothing, so the placement draw is the
     // environment stream's first — replicated here draw for draw.
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let tracked = place_rumor(scenario.environment.placement, graph, &mut env_rng);
+    let tracked = place_rumor(scenario.environment.placement, graph, &mut env_rng(seed));
     Ok(RuntimePlan {
         graph_seed,
         run_seed,
@@ -280,10 +294,7 @@ pub struct ScenarioOutcome {
     pub crashed: usize,
     /// Departed (churned-out) nodes at the end of the run.
     pub departed: usize,
-    /// Phase snapshots the protocol marked (empty for push-pull). Previously
-    /// these were only reachable through the traced probe path; surfacing
-    /// them on the outcome lets the plain (untraced) path report per-phase
-    /// costs too.
+    /// Phase snapshots the protocol marked (empty for push-pull).
     pub phases: Vec<PhaseSnapshot>,
     /// Per-rumor statistics of a streaming run; `None` for classic (single
     /// tracked rumor) scenarios. Engine-agnostic, included in equality.
@@ -328,11 +339,9 @@ impl ScenarioOutcome {
 
 /// One entry of a scenario's round-by-round record, captured every time the
 /// stop rule is evaluated — one row per executed round plus the final
-/// evaluation, for every protocol.
-///
-/// Equality deliberately skips [`Self::cores`] (thread-count-dependent
-/// diagnostics), matching [`ScenarioOutcome`]'s convention.
-#[derive(Clone, Copy, Debug)]
+/// evaluation, for every protocol. The node runtime's coordinator records
+/// the same rows, so runtime and simulator traces compare with `==`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundTrace {
     /// Completed rounds at capture time.
     pub round: u64,
@@ -342,35 +351,46 @@ pub struct RoundTrace {
     pub tracked_informed: usize,
     /// Cumulative packets sent.
     pub packets: u64,
-    /// Cumulative delivery batches per adaptive core at capture time.
-    /// **Diagnostics**: thread-count-dependent, excluded from equality.
-    pub cores: CoreRounds,
 }
 
-impl PartialEq for RoundTrace {
-    fn eq(&self, other: &Self) -> bool {
-        // `cores` excluded — see the type docs.
-        self.round == other.round
-            && self.fully_informed == other.fully_informed
-            && self.tracked_informed == other.tracked_informed
-            && self.packets == other.packets
-    }
-}
-
-impl Eq for RoundTrace {}
-
-/// The full observable trace of one scenario replication: per-round records
-/// plus the phase snapshots the phase-based protocols mark. Two engines
-/// implementing the same semantics must produce equal traces for equal
-/// `(scenario, seed)` — this is what the packed-vs-unpacked property tests
-/// compare.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The full observable trace of one scenario replication, one
+/// [`RoundTrace`] row per stop-rule evaluation. Two engines implementing the
+/// same semantics must produce equal traces for equal `(scenario, seed)` —
+/// this is what the packed-vs-unpacked property tests compare.
+///
+/// A trace is an [`Observer`] that keeps the [`ObsEvent::Round`] events and
+/// ignores every other event: attach it to [`run_scenario_observed_in`] (or
+/// to the node runtime's cluster) alone, or paired with another sink as
+/// `(&mut trace, &mut other)`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScenarioTrace {
     /// Stop-rule evaluations of the unified stepper, for every protocol.
     pub rounds: Vec<RoundTrace>,
-    /// Phase snapshots recorded in the metrics (empty for push-pull, which
-    /// marks no phases when scenario-driven).
-    pub phases: Vec<PhaseSnapshot>,
+}
+
+impl Observer for ScenarioTrace {
+    fn record(&mut self, event: &ObsEvent<'_>) {
+        if let ObsEvent::Round { round, fully_informed, tracked_informed, packets } = *event {
+            self.rounds.push(RoundTrace { round, fully_informed, tracked_informed, packets });
+        }
+    }
+}
+
+/// Reusable per-worker storage for [`run_scenario_observed_in`]: the
+/// graph-generation buffers ([`GraphArena`]) plus the simulation backing
+/// storage ([`SimulationArena`]).
+///
+/// A Monte Carlo batch gives every worker thread one arena and runs all of
+/// its repetitions through it; after the first repetition both the graph
+/// generation and the simulation are allocation-free in steady state (the
+/// buffers only grow when a later scenario is larger). One-off runs
+/// ([`run_scenario`], [`run_scenario_traced`]) use a fresh default arena.
+/// Results are bit-identical for any prior arena use — the property tests
+/// pin this across protocols, stop rules and thread counts.
+#[derive(Debug, Default)]
+pub struct ScenarioArena {
+    pub(crate) graph: GraphArena,
+    pub(crate) sim: SimulationArena,
 }
 
 /// Runs one replication of `scenario` on the packed engine, deterministically
@@ -380,7 +400,13 @@ pub struct ScenarioTrace {
 /// batches; the outcome is bit-identical for every value (see
 /// `rpc_engine::parallel`).
 pub fn run_scenario(scenario: &Scenario, seed: u64, threads: usize) -> ScenarioOutcome {
-    run_scenario_observed(scenario, seed, threads, &mut NoopObserver)
+    run_scenario_observed_in(
+        &mut ScenarioArena::default(),
+        scenario,
+        seed,
+        threads,
+        &mut NoopObserver,
+    )
 }
 
 /// Like [`run_scenario`], additionally capturing the per-round trace.
@@ -389,105 +415,22 @@ pub fn run_scenario_traced(
     seed: u64,
     threads: usize,
 ) -> (ScenarioOutcome, ScenarioTrace) {
-    run_scenario_observed_traced(scenario, seed, threads, &mut NoopObserver)
+    traced(|trace| {
+        run_scenario_observed_in(&mut ScenarioArena::default(), scenario, seed, threads, trace)
+    })
 }
 
-/// [`run_scenario`] with an attached [`Observer`] receiving the engine-level
-/// event stream (per-round progress, dispatch decisions, pool counters).
+/// Runs one replication of `scenario` through `arena`'s reusable storage
+/// with an attached [`Observer`] receiving the engine-level event stream
+/// (per-round progress, dispatch decisions, rumor progress, the run's
+/// totals, then [`ObsEvent::Pool`] and [`ObsEvent::Arena`] with the reuse
+/// counters). [`run_scenario`] and [`run_scenario_traced`] are this path on
+/// a fresh default arena.
 ///
-/// The zero-cost contract: with [`NoopObserver`] this monomorphizes to
-/// [`run_scenario`] exactly, and with *any* observer the outcome (and trace,
-/// see [`run_scenario_observed_traced`]) is bit-identical to the unobserved
-/// run — observers are write-only sinks outside every seeded path
+/// The zero-cost contract: with [`NoopObserver`] every event construction is
+/// dead code, and with *any* observer the outcome is bit-identical to the
+/// unobserved run — observers are write-only sinks outside every seeded path
 /// (property-pinned in `tests/obs_props.rs`).
-pub fn run_scenario_observed<O: Observer>(
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-    obs: &mut O,
-) -> ScenarioOutcome {
-    let graph = scenario.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let mut sim =
-        new_packed(scenario, &graph, derive_seed(seed, STREAM_RUN, 0)).with_threads(threads);
-    let outcome = run_scenario_core(scenario, &mut sim, &mut env_rng, None, obs);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Pool { stats: sim.pool_stats() });
-    }
-    outcome
-}
-
-/// [`run_scenario_observed`] additionally capturing the per-round trace.
-pub fn run_scenario_observed_traced<O: Observer>(
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-    obs: &mut O,
-) -> (ScenarioOutcome, ScenarioTrace) {
-    let graph = scenario.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let mut sim =
-        new_packed(scenario, &graph, derive_seed(seed, STREAM_RUN, 0)).with_threads(threads);
-    let mut trace = ScenarioTrace::default();
-    let outcome = run_scenario_core(scenario, &mut sim, &mut env_rng, Some(&mut trace), obs);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Pool { stats: sim.pool_stats() });
-    }
-    (outcome, trace)
-}
-
-/// Reusable per-worker storage for [`run_scenario_in`]: the graph-generation
-/// buffers ([`GraphArena`]) plus the simulation backing storage
-/// ([`SimulationArena`]).
-///
-/// A Monte Carlo batch gives every worker thread one arena and runs all of
-/// its repetitions through it; after the first repetition both the graph
-/// generation and the simulation are allocation-free in steady state (the
-/// buffers only grow when a later scenario is larger). Results are
-/// bit-identical to the fresh-allocation [`run_scenario`] path for any
-/// sequence of scenarios and seeds — the property tests pin this across
-/// protocols, stop rules and thread counts.
-#[derive(Debug, Default)]
-pub struct ScenarioArena {
-    pub(crate) graph: GraphArena,
-    pub(crate) sim: SimulationArena,
-}
-
-/// Runs one replication of `scenario` through `arena`'s reusable storage —
-/// the allocation-free counterpart of [`run_scenario`], with bit-identical
-/// results for any prior arena use.
-pub fn run_scenario_in(
-    arena: &mut ScenarioArena,
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-) -> ScenarioOutcome {
-    run_scenario_arena_core(arena, scenario, seed, threads, None, &mut NoopObserver)
-}
-
-/// Like [`run_scenario_in`], additionally capturing the per-round trace
-/// (the arena counterpart of [`run_scenario_traced`]).
-pub fn run_scenario_traced_in(
-    arena: &mut ScenarioArena,
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-) -> (ScenarioOutcome, ScenarioTrace) {
-    let mut trace = ScenarioTrace::default();
-    let outcome = run_scenario_arena_core(
-        arena,
-        scenario,
-        seed,
-        threads,
-        Some(&mut trace),
-        &mut NoopObserver,
-    );
-    (outcome, trace)
-}
-
-/// [`run_scenario_in`] with an attached [`Observer`] — the arena counterpart
-/// of [`run_scenario_observed`]. Also emits [`ObsEvent::Arena`] with the
-/// arena's cumulative reuse counters after the run.
 pub fn run_scenario_observed_in<O: Observer>(
     arena: &mut ScenarioArena,
     scenario: &Scenario,
@@ -495,40 +438,7 @@ pub fn run_scenario_observed_in<O: Observer>(
     threads: usize,
     obs: &mut O,
 ) -> ScenarioOutcome {
-    let outcome = run_scenario_arena_core(arena, scenario, seed, threads, None, obs);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Arena { graph: arena.graph.stats(), sim: arena.sim.stats() });
-    }
-    outcome
-}
-
-/// Shared arena entry point: generate the graph into the arena's buffers,
-/// check a simulation out of the arena, run, recycle. Seed derivation is
-/// identical to [`run_scenario`], so outcomes and traces must match the
-/// fresh path bit for bit.
-fn run_scenario_arena_core<O: Observer>(
-    arena: &mut ScenarioArena,
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-    trace: Option<&mut ScenarioTrace>,
-    obs: &mut O,
-) -> ScenarioOutcome {
-    let ScenarioArena { graph, sim } = arena;
-    scenario.topology.build().generate_into(derive_seed(seed, STREAM_GRAPH, 0), graph);
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let run_seed = derive_seed(seed, STREAM_RUN, 0);
-    let mut engine = match &scenario.injection {
-        Some(inj) => sim.checkout_streaming(graph.graph(), run_seed, inj.rumors),
-        None => sim.checkout(graph.graph(), run_seed),
-    }
-    .with_threads(threads);
-    let outcome = run_scenario_core(scenario, &mut engine, &mut env_rng, trace, obs);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Pool { stats: engine.pool_stats() });
-    }
-    sim.recycle(engine);
-    outcome
+    run_packed(arena, scenario, seed, threads, obs, |sim, obs| run_core(scenario, seed, sim, obs))
 }
 
 /// Runs one replication on the unpacked reference oracle
@@ -536,10 +446,7 @@ fn run_scenario_arena_core<O: Observer>(
 /// exists for the equivalence tests and the benchmark baseline, not for
 /// production runs.
 pub fn run_scenario_unpacked(scenario: &Scenario, seed: u64) -> ScenarioOutcome {
-    let graph = scenario.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let mut sim = new_unpacked(scenario, &graph, derive_seed(seed, STREAM_RUN, 0));
-    run_scenario_core(scenario, &mut sim, &mut env_rng, None, &mut NoopObserver)
+    run_unpacked(scenario, seed, &mut NoopObserver)
 }
 
 /// Like [`run_scenario_unpacked`], additionally capturing the per-round trace.
@@ -547,71 +454,15 @@ pub fn run_scenario_unpacked_traced(
     scenario: &Scenario,
     seed: u64,
 ) -> (ScenarioOutcome, ScenarioTrace) {
-    let graph = scenario.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let mut sim = new_unpacked(scenario, &graph, derive_seed(seed, STREAM_RUN, 0));
+    traced(|trace| run_unpacked(scenario, seed, trace))
+}
+
+/// Runs `run` with a fresh [`ScenarioTrace`] as its observer.
+fn traced(
+    run: impl FnOnce(&mut ScenarioTrace) -> ScenarioOutcome,
+) -> (ScenarioOutcome, ScenarioTrace) {
     let mut trace = ScenarioTrace::default();
-    let outcome =
-        run_scenario_core(scenario, &mut sim, &mut env_rng, Some(&mut trace), &mut NoopObserver);
-    (outcome, trace)
-}
-
-/// Fresh packed-engine construction: classic (one rumor per node, universe
-/// `n`) without an injection spec, streaming (empty states over a `rumors`-
-/// sized universe) with one. Seeding is identical in both modes.
-fn new_packed<'g>(scenario: &Scenario, graph: &'g Graph, seed: u64) -> Simulation<'g> {
-    match &scenario.injection {
-        Some(inj) => Simulation::new_streaming(graph, seed, inj.rumors),
-        None => Simulation::new(graph, seed),
-    }
-}
-
-/// Fresh oracle construction, mirroring [`new_packed`].
-fn new_unpacked<'g>(scenario: &Scenario, graph: &'g Graph, seed: u64) -> UnpackedSimulation<'g> {
-    match &scenario.injection {
-        Some(inj) => UnpackedSimulation::new_streaming(graph, seed, inj.rumors),
-        None => UnpackedSimulation::new(graph, seed),
-    }
-}
-
-/// The engine-generic execution core shared by every entry point above.
-/// Instantiates the protocol's resumable driver with the same paper constants
-/// [`ProtocolSpec::build`] uses — protocol dispatch ends here — and hands it
-/// to [`run_prepared_core`].
-fn run_scenario_core<E: Engine, O: Observer>(
-    scenario: &Scenario,
-    sim: &mut E,
-    env_rng: &mut SmallRng,
-    trace: Option<&mut ScenarioTrace>,
-    obs: &mut O,
-) -> ScenarioOutcome {
-    let n = scenario.num_nodes();
-    match scenario.protocol {
-        ProtocolSpec::PushPull => {
-            let mut driver = PushPullDriver::new(scenario.max_rounds as usize);
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-        ProtocolSpec::FastGossiping => {
-            let mut driver = FastGossipingDriver::new(FastGossiping::paper(n), n);
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-        ProtocolSpec::Memory => {
-            let mut driver = MemoryDriver::new(MemoryGossip::paper(n));
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-        ProtocolSpec::BroadcastPush => {
-            let mut driver = BroadcastDriver::push(scenario.max_rounds as usize);
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-        ProtocolSpec::BroadcastPushPull => {
-            let mut driver = BroadcastDriver::push_pull(scenario.max_rounds as usize);
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-        ProtocolSpec::LeaderElection => {
-            let mut driver = LeaderElectionDriver::paper(n);
-            run_prepared_core(scenario, sim, env_rng, &mut driver, trace, obs)
-        }
-    }
+    (run(&mut trace), trace)
 }
 
 /// Runs one replication of `scenario` through `arena`, but with fast-gossiping
@@ -619,8 +470,10 @@ fn run_scenario_core<E: Engine, O: Observer>(
 /// defaults. The sweep engine's ablation cells use this to tune walk
 /// probability and broadcast length while keeping the scenario machinery
 /// (environment schedule, stop rules, seed derivation) byte-for-byte the same
-/// as [`run_scenario_in`]; with `config == FastGossipingConfig::paper_defaults(n)`
-/// the result is identical to a `ProtocolSpec::FastGossiping` scenario run.
+/// as [`run_scenario_observed_in`]; with
+/// `config == FastGossipingConfig::paper_defaults(n)` the result is identical
+/// to a `ProtocolSpec::FastGossiping` scenario run. `scenario.protocol` is not
+/// consulted: the run always drives fast-gossiping.
 pub(crate) fn run_fast_tuned_in(
     arena: &mut ScenarioArena,
     scenario: &Scenario,
@@ -628,35 +481,99 @@ pub(crate) fn run_fast_tuned_in(
     seed: u64,
     threads: usize,
 ) -> ScenarioOutcome {
+    run_packed(arena, scenario, seed, threads, &mut NoopObserver, |sim, obs| {
+        let mut driver = FastGossipingDriver::new(FastGossiping::new(config), scenario.num_nodes());
+        run_driver(scenario, seed, sim, &mut driver, obs)
+    })
+}
+
+/// The packed set-up: generate the graph into the arena's buffers, check a
+/// simulation out of the arena (classic, or streaming over the injection
+/// spec's rumor universe), `run` it, recycle.
+fn run_packed<O: Observer>(
+    arena: &mut ScenarioArena,
+    scenario: &Scenario,
+    seed: u64,
+    threads: usize,
+    obs: &mut O,
+    run: impl FnOnce(&mut Simulation<'_>, &mut O) -> ScenarioOutcome,
+) -> ScenarioOutcome {
+    let (graph_seed, run_seed) = scenario_engine_seeds(seed);
     let ScenarioArena { graph, sim } = arena;
-    scenario.topology.build().generate_into(derive_seed(seed, STREAM_GRAPH, 0), graph);
-    let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
-    let mut engine =
-        sim.checkout(graph.graph(), derive_seed(seed, STREAM_RUN, 0)).with_threads(threads);
-    let mut driver = FastGossipingDriver::new(FastGossiping::new(config), scenario.num_nodes());
-    let outcome = run_prepared_core(
-        scenario,
-        &mut engine,
-        &mut env_rng,
-        &mut driver,
-        None,
-        &mut NoopObserver,
-    );
+    scenario.topology.build().generate_into(graph_seed, graph);
+    let mut engine = match &scenario.injection {
+        Some(inj) => sim.checkout_streaming(graph.graph(), run_seed, inj.rumors),
+        None => sim.checkout(graph.graph(), run_seed),
+    }
+    .with_threads(threads);
+    let outcome = run(&mut engine, obs);
+    if O::ENABLED {
+        obs.record(&ObsEvent::Pool { stats: engine.pool_stats() });
+    }
     sim.recycle(engine);
+    if O::ENABLED {
+        obs.record(&ObsEvent::Arena { graph: graph.stats(), sim: sim.stats() });
+    }
     outcome
+}
+
+/// The oracle set-up, mirroring [`run_packed`] on fresh storage.
+fn run_unpacked<O: Observer>(scenario: &Scenario, seed: u64, obs: &mut O) -> ScenarioOutcome {
+    let (graph_seed, run_seed) = scenario_engine_seeds(seed);
+    let graph = scenario.topology.build().generate(graph_seed);
+    let mut sim = match &scenario.injection {
+        Some(inj) => UnpackedSimulation::new_streaming(&graph, run_seed, inj.rumors),
+        None => UnpackedSimulation::new(&graph, run_seed),
+    };
+    run_core(scenario, seed, &mut sim, obs)
+}
+
+/// The engine-generic execution core behind the public entry points above.
+/// Instantiates the protocol's resumable driver with its paper constants —
+/// protocol dispatch ends here — and hands it to [`run_driver`].
+fn run_core<E: Engine, O: Observer>(
+    scenario: &Scenario,
+    seed: u64,
+    sim: &mut E,
+    obs: &mut O,
+) -> ScenarioOutcome {
+    let n = scenario.num_nodes();
+    let max_rounds = scenario.max_rounds as usize;
+    match scenario.protocol {
+        ProtocolSpec::PushPull => {
+            run_driver(scenario, seed, sim, &mut PushPullDriver::new(max_rounds), obs)
+        }
+        ProtocolSpec::FastGossiping => {
+            let config = FastGossipingConfig::paper_defaults(n);
+            let mut driver = FastGossipingDriver::new(FastGossiping::new(config), n);
+            run_driver(scenario, seed, sim, &mut driver, obs)
+        }
+        ProtocolSpec::Memory => {
+            run_driver(scenario, seed, sim, &mut MemoryDriver::new(MemoryGossip::paper(n)), obs)
+        }
+        ProtocolSpec::BroadcastPush => {
+            run_driver(scenario, seed, sim, &mut BroadcastDriver::push(max_rounds), obs)
+        }
+        ProtocolSpec::BroadcastPushPull => {
+            run_driver(scenario, seed, sim, &mut BroadcastDriver::push_pull(max_rounds), obs)
+        }
+        ProtocolSpec::LeaderElection => {
+            run_driver(scenario, seed, sim, &mut LeaderElectionDriver::paper(n), obs)
+        }
+    }
 }
 
 /// The driver-generic tail of the execution core: environment setup, rumor
 /// placement, the unified stepper, and outcome measurement.
-fn run_prepared_core<E: Engine, D: ProtocolDriver, O: Observer>(
+fn run_driver<E: Engine, D: ProtocolDriver, O: Observer>(
     scenario: &Scenario,
+    seed: u64,
     sim: &mut E,
-    env_rng: &mut SmallRng,
     driver: &mut D,
-    mut trace: Option<&mut ScenarioTrace>,
     obs: &mut O,
 ) -> ScenarioOutcome {
     let n = scenario.num_nodes();
+    let env_rng = &mut env_rng(seed);
     sim.set_loss_probability(scenario.environment.loss);
     schedule_environment(scenario, env_rng, sim);
     // The placement draw is consumed in both modes — injection-schedule
@@ -688,16 +605,12 @@ fn run_prepared_core<E: Engine, D: ProtocolDriver, O: Observer>(
         }
     };
 
-    let (stopped_by, rounds) =
-        drive(scenario, sim, driver, watch.as_mut(), trace.as_deref_mut(), obs);
+    let (stopped_by, rounds) = drive(scenario, sim, driver, watch.as_mut(), obs);
     if let Some(watch) = watch.as_mut() {
         // Latch completions reached by the very last step (a Done/cap break
         // exits before the next top-of-loop evaluation). Observer-free: the
         // event stream covers stop-rule evaluations only.
         watch.latch(sim, sim.metrics().rounds());
-    }
-    if let Some(trace) = trace {
-        trace.phases = sim.metrics().phases().to_vec();
     }
 
     let participating = sim.participating_count();
@@ -825,7 +738,7 @@ impl RumorWatch {
 }
 
 /// Drives any protocol one synchronous round at a time, evaluating the stop
-/// rule (and recording a trace row) between rounds. Returns why the run
+/// rule (and emitting a `round` event) between rounds. Returns why the run
 /// ended and how many rounds it executed.
 ///
 /// The rule check order encodes the reporting semantics:
@@ -845,21 +758,11 @@ fn drive<E: Engine, D: ProtocolDriver, O: Observer>(
     sim: &mut E,
     driver: &mut D,
     mut watch: Option<&mut RumorWatch>,
-    mut trace: Option<&mut ScenarioTrace>,
     obs: &mut O,
 ) -> (StoppedBy, u64) {
     let mut rounds: u64 = 0;
     let mut prev_cores = CoreRounds::default();
     let stopped_by = loop {
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.rounds.push(RoundTrace {
-                round: sim.metrics().rounds(),
-                fully_informed: sim.fully_informed_count(),
-                tracked_informed: sim.tracked_informed_count(),
-                packets: sim.metrics().total_packets(),
-                cores: sim.metrics().core_rounds(),
-            });
-        }
         if O::ENABLED {
             obs.record(&ObsEvent::Round {
                 round: sim.metrics().rounds(),
@@ -962,8 +865,18 @@ fn drive<E: Engine, D: ProtocolDriver, O: Observer>(
 /// Informed nodes that crash *after* learning the rumor still count toward
 /// the achieved side, which only makes the rule easier to satisfy. A target
 /// of 0 (possible only when `alive == 0`) never fires — see the caller.
+///
+/// The product carries the representation error of `fraction` (0.55 is
+/// stored as 0.55000000000000004), so one within a few ulps of an integer
+/// counts as that integer: `coverage:0.55` of 100 nodes demands 55, not 56.
 pub fn coverage_target(fraction: f64, alive: usize) -> usize {
-    (fraction * alive as f64).ceil() as usize
+    let product = fraction * alive as f64;
+    let nearest = product.round();
+    if (product - nearest).abs() <= 4.0 * f64::EPSILON * nearest {
+        nearest as usize
+    } else {
+        product.ceil() as usize
+    }
 }
 
 /// Pre-computes every environment perturbation — churn waves, the crash
@@ -1335,6 +1248,24 @@ mod tests {
     }
 
     #[test]
+    fn coverage_target_is_exact_for_whole_percentages() {
+        // 0.55 · 100 and 0.07 · 100 land a few ulps above 55 and 7; a plain
+        // ceiling demanded 56 and 8 knowers.
+        assert_eq!(coverage_target(0.55, 100), 55);
+        assert_eq!(coverage_target(0.07, 100), 7);
+        assert_eq!(coverage_target(0.5, 3), 2);
+        assert_eq!(coverage_target(1e-300, 5), 1, "a positive bar never rounds to zero");
+        assert_eq!(coverage_target(0.9, 0), 0);
+        for p in 1..=100usize {
+            let fraction = p as f64 / 100.0;
+            for alive in 1..=10_000usize {
+                let exact = (p * alive).div_ceil(100);
+                assert_eq!(coverage_target(fraction, alive), exact, "{p}% of {alive}");
+            }
+        }
+    }
+
+    #[test]
     fn coverage_never_fires_on_a_fully_crashed_network() {
         // Every node crashes at round 1, so the alive basis drops to 0 and
         // the target becomes 0 — which must NOT count as reached: a dead
@@ -1486,9 +1417,8 @@ mod tests {
             .unwrap();
         let seed = 9;
         let graph = s.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-        let mut env_rng = SmallRng::seed_from_u64(derive_seed(seed, STREAM_ENV, 0));
         let mut sim = Simulation::new(&graph, derive_seed(seed, STREAM_RUN, 0));
-        schedule_environment(&s, &mut env_rng, &mut sim);
+        schedule_environment(&s, &mut env_rng(seed), &mut sim);
         // Step past the crash round, then inspect liveness per node.
         for _ in 0..3 {
             for v in 0..n as NodeId {
@@ -1592,7 +1522,7 @@ mod tests {
         assert_eq!(last.packets, traced.total_packets);
         assert!(trace.rounds.windows(2).all(|w| w[0].fully_informed <= w[1].fully_informed));
         // Push-pull driving marks no phases.
-        assert!(trace.phases.is_empty());
+        assert!(traced.phases.is_empty());
     }
 
     #[test]
@@ -1606,7 +1536,7 @@ mod tests {
             let last = trace.rounds.last().unwrap();
             assert_eq!(last.round, traced.rounds);
             assert_eq!(last.packets, traced.total_packets);
-            assert!(!trace.phases.is_empty(), "{} must mark phases", protocol.name());
+            assert!(!traced.phases.is_empty(), "{} must mark phases", protocol.name());
         }
     }
 
@@ -1622,10 +1552,11 @@ mod tests {
         let mut arena = ScenarioArena::default();
         for seed in [1u64, 21, 77] {
             let (fresh, fresh_trace) = run_scenario_traced(&s, seed, 1);
-            let (reused, reused_trace) = run_scenario_traced_in(&mut arena, &s, seed, 1);
+            let mut reused_trace = ScenarioTrace::default();
+            let reused = run_scenario_observed_in(&mut arena, &s, seed, 1, &mut reused_trace);
             assert_eq!(fresh, reused, "outcome diverged at seed {seed}");
             assert_eq!(fresh_trace, reused_trace, "trace diverged at seed {seed}");
-            assert_eq!(run_scenario_in(&mut arena, &s, seed, 1), fresh);
+            assert_eq!(run_scenario_observed_in(&mut arena, &s, seed, 1, &mut NoopObserver), fresh);
         }
     }
 
@@ -1740,7 +1671,8 @@ mod tests {
             let (oracle, oracle_trace) = run_scenario_unpacked_traced(&s, seed);
             assert_eq!(fresh, oracle, "oracle diverged at seed {seed}");
             assert_eq!(fresh_trace, oracle_trace, "oracle trace diverged at seed {seed}");
-            assert_eq!(run_scenario_in(&mut arena, &s, seed, 1), fresh);
+            let reused = run_scenario_observed_in(&mut arena, &s, seed, 1, &mut NoopObserver);
+            assert_eq!(reused, fresh);
             assert_eq!(run_scenario(&s, seed, 4), fresh, "thread count changed the outcome");
             assert!(fresh.rumor_stats.is_some());
         }

@@ -122,7 +122,7 @@
 
 use std::fmt;
 
-use rpc_gossip::{FastGossiping, GossipAlgorithm, MemoryGossip, PushPullGossip};
+use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
 use rpc_graphs::log2n;
 use rpc_graphs::prelude::*;
 
@@ -238,8 +238,8 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Report label, matching [`GossipAlgorithm::name`] for the gossiping
-    /// protocols and the driver name for the rest.
+    /// Report label, matching [`rpc_gossip::GossipAlgorithm::name`] for the
+    /// gossiping protocols and the driver name for the rest.
     pub fn name(&self) -> &'static str {
         match self {
             ProtocolSpec::PushPull => "push-pull",
@@ -269,35 +269,16 @@ impl ProtocolSpec {
         matches!(self, ProtocolSpec::BroadcastPush | ProtocolSpec::BroadcastPushPull)
     }
 
-    /// Instantiates the algorithm with its paper constants for `n` nodes.
+    /// Runs the algorithm with its paper constants for `n` nodes on any
+    /// [`rpc_engine::Engine`] — the block entry point the stepped-vs-block
+    /// equivalence suite compares the scenario executor against.
     ///
     /// # Panics
     ///
-    /// For the broadcast and leader-election protocols, which have no
-    /// [`GossipAlgorithm`] block entry point — they exist only as
+    /// For the broadcast and leader-election protocols, which have no block
+    /// [`rpc_gossip::GossipAlgorithm`] entry point — they exist only as
     /// [`rpc_gossip::ProtocolDriver`]s and are always dispatched through the
     /// scenario executor.
-    pub fn build(&self, n: usize) -> Box<dyn GossipAlgorithm> {
-        match self {
-            ProtocolSpec::PushPull => Box::new(PushPullGossip::default()),
-            ProtocolSpec::FastGossiping => Box::new(FastGossiping::paper(n)),
-            ProtocolSpec::Memory => Box::new(MemoryGossip::paper(n)),
-            other => panic!(
-                "{} has no block GossipAlgorithm entry point; run it through \
-                 the scenario executor's driver dispatch",
-                other.name()
-            ),
-        }
-    }
-
-    /// Runs the algorithm (instantiated exactly as [`Self::build`] does) on
-    /// any [`rpc_engine::Engine`] — the engine-generic entry point the
-    /// stepped-vs-block equivalence suite uses, kept next to `build` so the
-    /// protocol-to-configuration mapping exists in one place.
-    ///
-    /// # Panics
-    ///
-    /// For the broadcast and leader-election protocols, like [`Self::build`].
     pub fn run_on_engine<E: rpc_engine::Engine>(
         &self,
         n: usize,
@@ -1934,13 +1915,6 @@ mod tests {
         assert!(capped_mem.to_text().contains("max-rounds = 9"));
         assert!(capped_mem.to_text().contains("stop = rounds:9"));
         assert_eq!(Scenario::parse_str(&capped_mem.to_text()).unwrap(), capped_mem);
-    }
-
-    #[test]
-    fn protocol_spec_builds_matching_algorithms() {
-        for spec in [ProtocolSpec::PushPull, ProtocolSpec::FastGossiping, ProtocolSpec::Memory] {
-            assert_eq!(spec.build(128).name(), spec.name());
-        }
     }
 
     #[test]

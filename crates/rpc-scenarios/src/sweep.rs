@@ -24,7 +24,7 @@
 //! Repetition `r` of the cell with key `key` is seeded
 //! `derive_seed(spec.seed, hash_key(key), r)` — a pure function of the spec
 //! seed and the cell's identity. Combined with prefix-stable stopping and the
-//! task-ordered pool ([`crate::batch`]), a sweep's per-cell results are
+//! task-ordered worker pool, a sweep's per-cell results are
 //! bit-identical for **any** thread count, any batch granularity, and any
 //! subset of cells served from cache.
 //!
@@ -43,8 +43,8 @@ use std::path::{Path, PathBuf};
 use rpc_engine::{derive_seed, hash_key};
 use rpc_obs::{NoopObserver, ObsEvent, Observer};
 
-use crate::batch::{run_on_pool, StoppedByCounts};
 use crate::cells::{run_cell_meta, CellJob, RepMeta, RepOutcome};
+use crate::exec::{ScenarioArena, StoppedBy};
 use crate::spec::ScenarioError;
 use crate::stats::{summarize, SummaryStats};
 
@@ -424,6 +424,42 @@ impl GridBuilder {
 // Results
 // ---------------------------------------------------------------------------
 
+/// How many repetitions of one cell ended for each [`StoppedBy`]
+/// discriminant. The five counts sum to the repetition count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoppedByCounts {
+    /// Runs that ended in natural termination with gossiping complete.
+    pub complete: usize,
+    /// Runs that spent a [`crate::spec::StopRule::Rounds`] budget exactly.
+    pub round_budget: usize,
+    /// Runs that met a [`crate::spec::StopRule::Coverage`] threshold.
+    pub coverage: usize,
+    /// Runs where every injected rumor settled (completed or expired) under
+    /// a [`crate::spec::StopRule::AllRumors`] rule.
+    pub all_rumors: usize,
+    /// Runs that exhausted `max_rounds` (or a phase schedule) without
+    /// satisfying their stop rule.
+    pub max_rounds: usize,
+}
+
+impl StoppedByCounts {
+    /// Adds one run with the given discriminant to the tally.
+    pub fn record(&mut self, stopped_by: StoppedBy) {
+        match stopped_by {
+            StoppedBy::Complete => self.complete += 1,
+            StoppedBy::RoundBudget => self.round_budget += 1,
+            StoppedBy::CoverageReached => self.coverage += 1,
+            StoppedBy::AllRumorsDone => self.all_rumors += 1,
+            StoppedBy::MaxRoundsExhausted => self.max_rounds += 1,
+        }
+    }
+
+    /// Total runs tallied.
+    pub fn total(&self) -> usize {
+        self.complete + self.round_budget + self.coverage + self.all_rumors + self.max_rounds
+    }
+}
+
 /// The aggregated statistics of one metric over a cell's repetitions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricSummary {
@@ -449,7 +485,7 @@ pub struct CellResult {
     /// Whether an adaptive cell spent its whole budget without the CI rule
     /// converging (always `false` for fixed policies).
     pub budget_exhausted: bool,
-    /// Repetitions by [`crate::StoppedBy`] discriminant.
+    /// Repetitions by [`StoppedBy`] discriminant.
     pub stopped: StoppedByCounts,
     /// Per-metric summaries, in the metrics' first-seen order.
     pub metrics: Vec<MetricSummary>,
@@ -801,6 +837,45 @@ fn cell_fingerprint(spec: &SweepSpec, cell: &SpecCell) -> u64 {
 // Runner
 // ---------------------------------------------------------------------------
 
+/// Fans `tasks` out across up to `threads` workers, each owning one private
+/// [`ScenarioArena`], and returns the results **in task order** regardless of
+/// which worker computed what.
+///
+/// Tasks are split into contiguous chunks (one per worker), every chunk is
+/// processed in order on its own arena, and the chunk results are rejoined
+/// in spawn order. Because each task's result is a pure function of the task
+/// itself (arenas are bit-identical to fresh allocation), the output is
+/// independent of the thread count.
+fn run_on_pool<T, R, F>(tasks: &[T], threads: usize, run_task: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&mut ScenarioArena, &T) -> R + Sync,
+{
+    let threads = threads.max(1).min(tasks.len().max(1));
+    if threads <= 1 {
+        let mut arena = ScenarioArena::default();
+        return tasks.iter().map(|task| run_task(&mut arena, task)).collect();
+    }
+    let chunk_size = tasks.len().div_ceil(threads);
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = tasks
+            .chunks(chunk_size)
+            .map(|chunk| {
+                let run_task = &run_task;
+                scope.spawn(move |_| {
+                    let mut arena = ScenarioArena::default();
+                    chunk.iter().map(|task| run_task(&mut arena, task)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        // Joining in spawn order keeps the results in task order regardless
+        // of which worker finishes first.
+        handles.into_iter().flat_map(|h| h.join().expect("pool worker panicked")).collect()
+    })
+    .expect("crossbeam scope failed")
+}
+
 /// Executes [`SweepSpec`]s on the arena-backed worker pool.
 #[derive(Clone, Debug)]
 pub struct SweepRunner {
@@ -1120,6 +1195,8 @@ mod tests {
         assert_eq!(stop_index(&[0.0; 3], &policy), None);
         assert_eq!(stop_index(&[0.0; 4], &policy), Some((4, false)));
         assert_eq!(stop_index(&[0.0; 9], &policy), Some((4, false)), "surplus is ignored");
+        assert_eq!(RepPolicy::fixed(0), RepPolicy::fixed(1), "a cell runs at least once");
+        assert_eq!(SweepRunner::new().with_threads(0).threads(), 1);
     }
 
     #[test]

@@ -3,19 +3,33 @@
 //! The Monte Carlo hot path runs every repetition through a per-worker
 //! [`ScenarioArena`] — reused graph buffers, reused simulation storage,
 //! reused delivery pools. These tests pin the contract that makes that
-//! optimization safe: for any `(scenario, seed, threads)` the arena path
-//! produces **bit-identical** results to the fresh-allocation path — same
+//! optimization safe: for any `(scenario, seed, threads)` a dirty arena
+//! produces **bit-identical** results to a fresh one — same
 //! [`ScenarioOutcome`] (including `stopped_by`), same per-round
 //! [`ScenarioTrace`] — no matter what the arena ran before (larger graphs,
 //! smaller graphs, other protocols).
 
 use proptest::prelude::*;
 
+use rpc_obs::NoopObserver;
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::registry;
 
-/// One deterministic comparison: fresh vs arena, traced, under the given
-/// engine thread count.
+/// One traced run through `arena`: the trace rides along as the observer.
+fn traced_in(
+    arena: &mut ScenarioArena,
+    scenario: &Scenario,
+    seed: u64,
+    threads: usize,
+) -> (ScenarioOutcome, ScenarioTrace) {
+    let mut trace = ScenarioTrace::default();
+    let outcome = run_scenario_observed_in(arena, scenario, seed, threads, &mut trace);
+    (outcome, trace)
+}
+
+/// One deterministic comparison: fresh vs arena, traced and untraced (the
+/// no-op observer build sweep workers run), under the given engine thread
+/// count.
 fn assert_arena_equals_fresh(
     arena: &mut ScenarioArena,
     scenario: &Scenario,
@@ -23,15 +37,17 @@ fn assert_arena_equals_fresh(
     threads: usize,
 ) {
     let (fresh, fresh_trace) = run_scenario_traced(scenario, seed, threads);
-    let (reused, reused_trace) = run_scenario_traced_in(arena, scenario, seed, threads);
+    let (reused, reused_trace) = traced_in(arena, scenario, seed, threads);
     assert_eq!(fresh, reused, "{} seed {seed} threads {threads}: outcome", scenario.name);
     assert_eq!(fresh_trace, reused_trace, "{} seed {seed} threads {threads}: trace", scenario.name);
+    let untraced = run_scenario_observed_in(arena, scenario, seed, threads, &mut NoopObserver);
+    assert_eq!(fresh, untraced, "{} seed {seed} threads {threads}: untraced", scenario.name);
 }
 
 #[test]
 fn every_registry_scenario_agrees_through_one_shared_arena() {
     // One arena across the whole registry: scenario sizes, topologies and
-    // protocols all change under it, which is exactly the batch driver's
+    // protocols all change under it, which is exactly a sweep worker's
     // usage pattern.
     let mut arena = ScenarioArena::default();
     for scenario in registry::builtin(96) {
@@ -99,8 +115,7 @@ proptest! {
         for (scenario, leg) in [(&big, 0u64), (&small, 1), (&big, 2)] {
             let leg_seed = seed.wrapping_add(leg);
             let (fresh, fresh_trace) = run_scenario_traced(scenario, leg_seed, threads);
-            let (reused, reused_trace) =
-                run_scenario_traced_in(&mut arena, scenario, leg_seed, threads);
+            let (reused, reused_trace) = traced_in(&mut arena, scenario, leg_seed, threads);
             prop_assert_eq!(&fresh, &reused, "leg {} outcome", leg);
             prop_assert_eq!(&fresh_trace, &reused_trace, "leg {} trace", leg);
             prop_assert_eq!(fresh.stopped_by, reused.stopped_by);

@@ -24,8 +24,7 @@ use proptest::prelude::*;
 use rpc_engine::{Engine, Simulation, Transfer, UnpackedSimulation};
 use rpc_graphs::prelude::*;
 use rpc_graphs::NodeId;
-use rpc_obs::TraceWriter;
-use rpc_scenarios::exec::run_scenario_observed_traced;
+use rpc_obs::{NoopObserver, Observer, TraceWriter};
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::spec::zone_members;
 use rpc_scenarios::{run_scenario_unpacked, run_scenario_unpacked_traced, ScenarioBuilder};
@@ -103,6 +102,19 @@ fn env_strategy() -> impl Strategy<Value = EnvConfig> {
         )
 }
 
+/// One single-threaded run through `arena` with a [`ScenarioTrace`]
+/// attached beside `obs`.
+fn traced_in<O: Observer>(
+    arena: &mut ScenarioArena,
+    scenario: &Scenario,
+    seed: u64,
+    obs: &mut O,
+) -> (ScenarioOutcome, ScenarioTrace) {
+    let mut trace = ScenarioTrace::default();
+    let outcome = run_scenario_observed_in(arena, scenario, seed, 1, &mut (&mut trace, obs));
+    (outcome, trace)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -152,15 +164,16 @@ proptest! {
         // Arena vs fresh — with the arena deliberately warmed by a different
         // run first, so the checkout actually reuses parked storage.
         let mut arena = ScenarioArena::default();
-        let _ = run_scenario_in(&mut arena, &scenario, seed ^ 0x5a5a, 1);
-        let (reused, reused_trace) = run_scenario_traced_in(&mut arena, &scenario, seed, 1);
+        let warm_seed = seed ^ 0x5a5a;
+        let _ = run_scenario_observed_in(&mut arena, &scenario, warm_seed, 1, &mut NoopObserver);
+        let (reused, reused_trace) = traced_in(&mut arena, &scenario, seed, &mut NoopObserver);
         prop_assert_eq!(&packed, &reused, "arena vs fresh outcome");
         prop_assert_eq!(&packed_trace, &reused_trace, "arena vs fresh trace");
 
         // Observed vs unobserved: the JSON-lines observer is a pure sink.
         let mut writer = TraceWriter::new(Vec::new());
         let (observed, observed_trace) =
-            run_scenario_observed_traced(&scenario, seed, 1, &mut writer);
+            traced_in(&mut ScenarioArena::default(), &scenario, seed, &mut writer);
         prop_assert_eq!(&packed, &observed, "observed vs unobserved outcome");
         prop_assert_eq!(&packed_trace, &observed_trace, "observed vs unobserved trace");
 

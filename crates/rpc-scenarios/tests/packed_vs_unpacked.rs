@@ -157,7 +157,7 @@ proptest! {
         let (unpacked, unpacked_trace) = run_scenario_unpacked_traced(&scenario, seed);
         prop_assert_eq!(&packed, &unpacked);
         prop_assert_eq!(&packed_trace, &unpacked_trace);
-        prop_assert!(!packed_trace.phases.is_empty(), "phase protocols must mark phases");
+        prop_assert!(!packed.phases.is_empty(), "phase protocols must mark phases");
         // The step-driven executor records one row per round plus the final
         // stop-rule evaluation, for phase protocols too.
         prop_assert_eq!(packed_trace.rounds.len() as u64, packed.rounds + 1);

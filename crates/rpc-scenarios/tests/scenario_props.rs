@@ -2,7 +2,7 @@
 //!
 //! 1. churn/loss scenarios are deterministic in `(seed, threads)` — one
 //!    worker and four workers produce the same outcome, both for a single
-//!    replication and for an aggregated batch;
+//!    replication and for a fixed-policy sweep over a list of scenarios;
 //! 2. a dead (churned-out) node never sends or receives a packet.
 
 use proptest::prelude::*;
@@ -33,8 +33,8 @@ proptest! {
     }
 
     #[test]
-    fn batch_reports_are_identical_for_one_and_four_threads(seed in 0u64..10_000) {
-        let scenarios = vec![
+    fn sweep_reports_are_identical_for_one_and_four_threads(seed in 0u64..10_000) {
+        let scenarios = [
             Scenario::builder("churny", TopologySpec::ErdosRenyiPaper { n: 128 })
                 .churn(0.15, 2, 4)
                 .build()
@@ -44,8 +44,15 @@ proptest! {
                 .build()
                 .unwrap(),
         ];
-        let one = BatchDriver::new(3, seed).with_threads(1).run(&scenarios);
-        let four = BatchDriver::new(3, seed).with_threads(4).run(&scenarios);
+        let mut spec = SweepSpec::new("batch", seed, RepPolicy::fixed(3));
+        for scenario in scenarios {
+            let axes = vec![("scenario".to_string(), scenario.name.clone())];
+            spec.push_cell(axes, CellJob::scenario(scenario)).unwrap();
+        }
+        let one = SweepRunner::new().with_threads(1).run(&spec);
+        let four = SweepRunner::new().with_threads(4).run(&spec);
+        prop_assert_eq!(one.cells.len(), 2);
+        prop_assert!(one.cells.iter().all(|cell| cell.reps == 3));
         prop_assert_eq!(one, four);
     }
 

@@ -12,7 +12,7 @@
 //!   (Push-Pull, fast-gossiping, memory-model gossiping, leader election),
 //! * [`scenarios`] — the declarative scenario engine (topology/protocol/
 //!   environment specs, dynamic churn and message loss, a multi-threaded
-//!   Monte Carlo batch driver, and a registry of named workloads),
+//!   Monte Carlo sweep engine, and a registry of named workloads),
 //! * [`runtime`] — the fault-tolerant node runtime (per-node actors over a
 //!   pluggable transport, a seeded nemesis fault injector, and a retrying
 //!   round synchronizer),
