@@ -31,7 +31,8 @@
 //! * [`parallel`] — crossbeam-based parallel computation of sparse per-step
 //!   message deltas (bit-identical to the sequential path);
 //! * [`seeding`] — SplitMix64 seed derivation shared by every replication
-//!   harness, so Monte Carlo results are identical for any thread count.
+//!   harness, so Monte Carlo results are identical for any thread count, and
+//!   [`engine_rng`], the one constructor of a run's random stream.
 //!
 //! Beyond the paper's static model, the simulation supports *dynamic*
 //! scenarios used by the `rpc-scenarios` crate: per-packet message loss
@@ -82,7 +83,7 @@ pub use reference::UnpackedSimulation;
 // Observability counter types, re-exported so engine users need not name
 // `rpc-obs` for plain diagnostics reads (`Metrics::core_rounds` etc.).
 pub use rpc_obs::{CoreRounds, DeliveryCore, DispatchRecord, PoolStats, ReuseStats};
-pub use seeding::{derive_seed, hash_key, splitmix64};
+pub use seeding::{derive_seed, engine_rng, hash_key, splitmix64};
 pub use sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
 pub use walks::{Walk, WalkQueues};
 
@@ -95,7 +96,7 @@ pub mod prelude {
     pub use crate::message::{MessageId, MessageSet};
     pub use crate::metrics::{Accounting, Metrics};
     pub use crate::reference::UnpackedSimulation;
-    pub use crate::seeding::{derive_seed, hash_key, splitmix64};
+    pub use crate::seeding::{derive_seed, engine_rng, hash_key, splitmix64};
     pub use crate::sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
     pub use crate::walks::{Walk, WalkQueues};
 }

@@ -23,13 +23,14 @@
 //! use it for large production runs.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use rpc_graphs::{Graph, NodeId};
 
 use crate::api::Engine;
 use crate::message::{MessageId, MessageSet};
 use crate::metrics::Metrics;
+use crate::seeding::engine_rng;
 use crate::sim::{LivenessEvent, LivenessKind, Transfer};
 
 /// The unpacked (pre-optimization) simulation engine. Same API and RNG draw
@@ -92,7 +93,7 @@ impl<'g> UnpackedSimulation<'g> {
             fully_informed: if n <= 1 { n } else { 0 },
             tracked: None,
             metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03),
+            rng: engine_rng(seed),
             loss_probability: 0.0,
             schedule: Vec::new(),
             next_event: 0,

@@ -7,6 +7,24 @@
 //! consecutive indices land on uncorrelated 64-bit values, so the derived
 //! seeds are safe to hand to [`rand::rngs::SmallRng`] even when the base seed
 //! and the indices are tiny integers like `0, 1, 2, …`.
+//!
+//! [`engine_rng`] is the one constructor of a run's random stream: every
+//! engine and the node runtime's schedule replay seed through it, so they
+//! draw identical sequences from identical seeds.
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// XOR salt folded into every engine seed before it seeds the generator.
+const ENGINE_SEED_SALT: u64 = 0xd1b5_4a32_d192_ed03;
+
+/// The run-stream generator for `seed`: the RNG [`crate::Simulation::new`],
+/// its resets and arena checkouts, and [`crate::UnpackedSimulation::new`]
+/// start from, and the stream the node runtime replays its contact schedule
+/// from.
+pub fn engine_rng(seed: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ ENGINE_SEED_SALT)
+}
 
 /// The SplitMix64 finalizer: a bijective avalanche mix of one 64-bit word.
 pub fn splitmix64(x: u64) -> u64 {

@@ -52,7 +52,7 @@
 //! and benchmark baseline for this hot path.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use rpc_graphs::{Graph, NodeId};
 
@@ -63,6 +63,7 @@ use crate::parallel::{
     cache_resident, chain_order, classify_dispatch, compute_one_update, compute_updates,
     group_by_receiver, UpdatePayload, UpdatePools,
 };
+use crate::seeding::engine_rng;
 
 /// How packet deliveries within one synchronous step are applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -272,11 +273,6 @@ pub struct Simulation<'g> {
     edge_down_count: usize,
 }
 
-/// XOR salt folded into every engine seed, shared by [`Simulation::new`],
-/// [`Simulation::reset`] and the unpacked oracle so all construction paths
-/// seed identically.
-pub(crate) const RNG_SEED_SALT: u64 = 0xd1b5_4a32_d192_ed03;
-
 impl<'g> Simulation<'g> {
     /// Creates a simulation in the gossiping start configuration: node `v`
     /// knows exactly its own original message `m_v = {v}`.
@@ -298,7 +294,7 @@ impl<'g> Simulation<'g> {
             fully_informed: if n <= 1 { n } else { 0 },
             tracked: None,
             metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
+            rng: engine_rng(seed),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
@@ -348,7 +344,7 @@ impl<'g> Simulation<'g> {
             fully_informed: if universe == 0 { n } else { 0 },
             tracked: None,
             metrics: Metrics::new(n),
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
+            rng: engine_rng(seed),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
@@ -441,7 +437,7 @@ impl<'g> Simulation<'g> {
         self.tracked = None;
         self.metrics.reset(n);
         self.update_pools.stats = rpc_obs::PoolStats::default();
-        self.rng = SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT);
+        self.rng = engine_rng(seed);
         self.loss_probability = 0.0;
         self.schedule.clear();
         self.next_event = 0;
@@ -1558,7 +1554,7 @@ impl SimulationArena {
             fully_informed: 0,
             tracked: None,
             metrics: st.metrics,
-            rng: SmallRng::seed_from_u64(seed ^ RNG_SEED_SALT),
+            rng: engine_rng(seed),
             semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,

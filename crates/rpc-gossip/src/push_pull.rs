@@ -72,10 +72,12 @@ impl PushPullDriver {
 
     /// The transfer list of the most recently executed round, in schedule
     /// order: one `[(v, u), (u, v)]` pair per channel opener `v`, exactly as
-    /// handed to [`Engine::deliver`]. The node runtime's actors replay this
-    /// to turn a simulated round into real wire messages (every transfer is
-    /// one packet, every pair one channel exchange), so the deployable path
-    /// and the simulator can never diverge in contact schedule.
+    /// handed to [`Engine::deliver`]. This is the reference the node
+    /// runtime's schedule replay is tested against: its actors draw the same
+    /// list from the run stream without a simulator and turn it into real
+    /// wire messages (every transfer is one packet, every pair one channel
+    /// exchange), so the deployable path and the simulator can never diverge
+    /// in contact schedule.
     pub fn transfers(&self) -> &[Transfer] {
         &self.transfers
     }

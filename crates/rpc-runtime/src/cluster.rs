@@ -166,6 +166,9 @@ pub fn run_cluster_observed<O: Observer>(
     let mut sched = Scheduler { queue: BinaryHeap::new(), seq: 0 };
     let mut now: u64 = 0;
     let mut down = vec![false; n];
+    // The round whose crash windows `down` reflects (none before the first
+    // delivery).
+    let mut enacted: Option<u64> = None;
     let mut persisted: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut crash_audits: Vec<CrashAudit> = Vec::new();
 
@@ -216,26 +219,33 @@ pub fn run_cluster_observed<O: Observer>(
         now = due;
         let round = coordinator.current_round();
 
-        // Enact crash-window transitions declared by the nemesis.
-        for k in 0..n {
-            let in_window = nemesis.crashed(k as NodeId, round);
-            if in_window && !down[k] {
-                if let Some(host) = hosts[k].take() {
-                    persisted[k] = host.actor().store().words().to_vec();
-                    crash_audits
-                        .push(CrashAudit { node: k as NodeId, persisted: persisted[k].clone() });
-                    nemesis.note_crash();
+        // Enact crash-window transitions declared by the nemesis. Windows
+        // depend only on (node, round), so once a round's transitions are
+        // enacted, checking again before it ends changes nothing.
+        if enacted != Some(round) {
+            enacted = Some(round);
+            for k in 0..n {
+                let in_window = nemesis.crashed(k as NodeId, round);
+                if in_window && !down[k] {
+                    if let Some(host) = hosts[k].take() {
+                        persisted[k] = host.actor().store().words().to_vec();
+                        crash_audits.push(CrashAudit {
+                            node: k as NodeId,
+                            persisted: persisted[k].clone(),
+                        });
+                        nemesis.note_crash();
+                    }
+                    down[k] = true;
+                } else if !in_window && down[k] {
+                    let (transport, end) = ChannelTransport::pair();
+                    hosts[k] = Some(NodeHost::new(
+                        NodeActor::restart(&graph, &plan, k as NodeId, &persisted[k]),
+                        transport,
+                    ));
+                    ends[k] = end;
+                    nemesis.note_restart();
+                    down[k] = false;
                 }
-                down[k] = true;
-            } else if !in_window && down[k] {
-                let (transport, end) = ChannelTransport::pair();
-                hosts[k] = Some(NodeHost::new(
-                    NodeActor::restart(&graph, &plan, k as NodeId, &persisted[k]),
-                    transport,
-                ));
-                ends[k] = end;
-                nemesis.note_restart();
-                down[k] = false;
             }
         }
 

@@ -201,9 +201,10 @@ impl<'g, T: Transport> NodeHost<'g, T> {
 }
 
 /// The deployable node's main loop (see module docs): wait for `init`,
-/// build the local replica, pump until EOF. `state_path` enables
-/// crash-restart persistence: the rumor store is written there after every
-/// handled message and reloaded (when valid) at `init`.
+/// build the local actor, whose schedule replay needs nothing but the graph
+/// and the plan, and pump until EOF. `state_path` enables crash-restart
+/// persistence: the rumor store is written there after every handled
+/// message and reloaded (when valid) at `init`.
 pub fn serve<T: Transport>(
     transport: &mut T,
     state_path: Option<&Path>,

@@ -1,7 +1,7 @@
 //! # rpc-runtime
 //!
-//! The fault-tolerant node runtime: the scenario engine's `ProtocolDriver`
-//! turned into a *deployable actor*. Where the rest of the workspace
+//! The fault-tolerant node runtime: the scenario engine's push-pull protocol
+//! turned into *deployable actors*. Where the rest of the workspace
 //! simulates the random phone call model inside one process, this crate
 //! splits a push-pull gossip run into `n` independent node actors plus a
 //! coordinator, speaking a JSON-lines wire protocol over a pluggable
@@ -13,9 +13,10 @@
 //! * [`wire`] — envelopes, typed bodies, and a total decoder (malformed
 //!   input becomes structured errors, never panics);
 //! * [`store`] — the durable per-node rumor bitset and its hex codec;
-//! * [`node`] — [`NodeActor`]: owns a store, a deterministic engine replica
-//!   and a `PushPullDriver`; derives each round's transfer schedule locally
-//!   from the shared seed, so no randomness ever crosses the wire;
+//! * [`node`] — [`NodeActor`]: owns a store and replays the run's contact
+//!   schedule, drawing each round's transfers locally from the shared seed
+//!   exactly as the simulator's push-pull round does, so no randomness ever
+//!   crosses the wire;
 //! * [`sync`] — [`Coordinator`]: the round synchronizer with timeouts,
 //!   bounded exponential-backoff retries and quorum-based round advance;
 //! * [`nemesis`] — the seeded fault injector (drop, delay, duplicate,

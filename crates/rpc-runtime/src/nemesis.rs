@@ -17,7 +17,8 @@
 //! `drop=0.1,delay=0.2:3,duplicate=0.05,partition=4:2,crash=3@5+4,seed=9`:
 //! 10% drop, 20% chance of 1–3 extra ticks of delay, 5% duplication, a
 //! partition covering rounds 4–5, and node 3 crashing at round 5 for 4
-//! rounds.
+//! rounds. A window whose end lies past `u64::MAX` lasts to the end of the
+//! run.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -139,6 +140,13 @@ impl NemesisSpec {
     }
 }
 
+/// Whether `round` falls in the window of `len` rounds opening at `start`.
+/// Written without `start + len`, which overflows for lengths the grammar
+/// accepts: a window reaching past `u64::MAX` lasts to the end of the run.
+fn in_window(round: u64, start: u64, len: u64) -> bool {
+    round >= start && round - start < len
+}
+
 fn bad(key: &str, value: &str) -> String {
     format!("malformed value {value:?} for nemesis key {key:?}")
 }
@@ -209,15 +217,12 @@ impl Nemesis {
 
     /// Whether `node` is inside any crash window during `round`.
     pub fn crashed(&self, node: NodeId, round: u64) -> bool {
-        self.spec
-            .crashes
-            .iter()
-            .any(|c| c.node == node && round >= c.round && round < c.round + c.downtime)
+        self.spec.crashes.iter().any(|c| c.node == node && in_window(round, c.round, c.downtime))
     }
 
     /// Whether the partition is active during `round`.
     pub fn partitioned(&self, round: u64) -> bool {
-        self.spec.partition.is_some_and(|(start, len)| round >= start && round < start + len)
+        self.spec.partition.is_some_and(|(start, len)| in_window(round, start, len))
     }
 
     /// Routes one message: returns the extra delays (in ticks beyond the
@@ -344,6 +349,27 @@ mod tests {
         assert!(nemesis.route(&gossip("n5", "n2"), 4, 16, &mut obs).is_empty());
         assert_eq!(nemesis.route(&gossip("n5", "n2"), 5, 16, &mut obs), vec![0]);
         assert_eq!(nemesis.stats().crash_drops, 2);
+    }
+
+    #[test]
+    fn windows_reaching_past_the_last_round_stay_open() {
+        let crash = Nemesis::new(NemesisSpec::parse("crash=3@1+18446744073709551615").unwrap());
+        assert!(!crash.crashed(3, 0));
+        for round in [1, 2, 1 << 40, u64::MAX] {
+            assert!(crash.crashed(3, round), "round {round}");
+            assert!(!crash.crashed(4, round));
+        }
+        let partition =
+            Nemesis::new(NemesisSpec::parse("partition=1:18446744073709551615").unwrap());
+        assert!(!partition.partitioned(0));
+        for round in [1, 2, 1 << 40, u64::MAX] {
+            assert!(partition.partitioned(round), "round {round}");
+        }
+        // In-range windows keep their exact bounds.
+        let edge = Nemesis::new(NemesisSpec::parse("partition=18446744073709551614:1").unwrap());
+        assert!(!edge.partitioned(u64::MAX - 2));
+        assert!(edge.partitioned(u64::MAX - 1));
+        assert!(!edge.partitioned(u64::MAX));
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! The per-node gossip actor.
 //!
 //! A [`NodeActor`] is one deployable node of the push-pull protocol: it owns
-//! its durable [`RumorStore`], a deterministic engine *replica*, and a
-//! [`PushPullDriver`] — and it speaks only [`crate::wire`] messages. The key
-//! trick that makes a randomized protocol deployable without a shared RNG is
-//! **replica determinism**: every node runs an identical
-//! `Simulation::new(graph, run_seed)` replica and steps it once per round, so
-//! all nodes independently derive the *same* per-round transfer schedule and
-//! each node reads off its own role (whom it pushes to, whom it must hear
-//! from). The store — not the replica — is the authoritative rumor state;
-//! the replica only supplies the schedule, which is exactly what makes the
+//! its durable [`RumorStore`] and a replay of the run's *contact schedule*,
+//! and it speaks only [`crate::wire`] messages. The key trick that makes a
+//! randomized protocol deployable without a shared RNG is **schedule
+//! replay**: in the random phone call model a push-pull round is fully set
+//! by whom each node calls, so every node seeds the run stream exactly as
+//! `Simulation::new(graph, run_seed)` does ([`rpc_engine::engine_rng`]) and
+//! makes the same draws the simulator's push-pull round makes — one
+//! `Graph::random_neighbor` per node, in node order. All nodes thereby
+//! independently derive the *same* per-round transfer schedule, and each
+//! node reads off its own role (whom it pushes to, whom it must hear from).
+//! The draws match because [`rpc_scenarios::plan_runtime`] admits benign
+//! environments only: with no failures, departures, edge outages or loss,
+//! the simulator's `open_channel` always takes its plain `random_neighbor`
+//! branch and its delivery draws nothing. The store is the node's only
+//! rumor state; replaying the simulator's schedule is exactly what makes the
 //! fault-free runtime trace bit-identical to the in-process simulator.
 //!
 //! Fault tolerance falls out of two properties:
@@ -21,12 +27,12 @@
 //!   never arrive and reports what it has, keeping the cluster live.
 //!
 //! Crash-restart rebuilds an actor from its persisted store words
-//! ([`NodeActor::restart`]); the fresh replica is fast-forwarded to the
+//! ([`NodeActor::restart`]); the fresh schedule is fast-forwarded to the
 //! current round on the next `start_round`, so a rejoined node is back in
 //! lockstep immediately.
 
-use rpc_engine::Simulation;
-use rpc_gossip::{ProtocolDriver, PushPullDriver, StepStatus};
+use rand::rngs::SmallRng;
+use rpc_engine::{engine_rng, Transfer};
 use rpc_graphs::{Graph, NodeId};
 use rpc_scenarios::RuntimePlan;
 
@@ -65,14 +71,17 @@ impl PendingRound {
 pub struct NodeActor<'g> {
     id: NodeId,
     plan: RuntimePlan,
-    replica: Simulation<'g>,
-    driver: PushPullDriver,
+    graph: &'g Graph,
+    /// The run stream, positioned after the draws of every round begun.
+    rng: SmallRng,
+    /// The transfer list of the round last drawn (reused across rounds).
+    transfers: Vec<Transfer>,
     store: RumorStore,
     /// Union of every rumor that provably *arrived* (decoded payloads plus
     /// this node's own rumor) — the provenance set behind
     /// [`NodeActor::no_forged_rumors`].
     delivered: RumorStore,
-    /// Rounds begun (== replica steps taken).
+    /// Rounds begun (== schedule rounds drawn).
     started: u64,
     current: Option<PendingRound>,
     /// Gossip that arrived for a round we have not begun yet (the sender is
@@ -98,7 +107,7 @@ impl<'g> NodeActor<'g> {
     }
 
     /// A node rebuilt after a crash from its persisted store words. The
-    /// replica restarts from round zero and is fast-forwarded to the
+    /// schedule restarts from round zero and is fast-forwarded to the
     /// cluster's current round by the next `start_round`.
     pub fn restart(graph: &'g Graph, plan: &RuntimePlan, id: NodeId, persisted: &[u64]) -> Self {
         let mut store = RumorStore::new(plan.n);
@@ -119,8 +128,9 @@ impl<'g> NodeActor<'g> {
         NodeActor {
             id,
             plan: plan.clone(),
-            replica: Simulation::new(graph, plan.run_seed),
-            driver: PushPullDriver::new(plan.max_rounds as usize),
+            graph,
+            rng: engine_rng(plan.run_seed),
+            transfers: Vec::new(),
             store,
             delivered,
             started: 0,
@@ -239,29 +249,46 @@ impl<'g> NodeActor<'g> {
         // The coordinator moved past a round we never finished (quorum
         // advance): abandon it — future payloads re-carry everything.
         self.current = None;
-        // Fast-forward the replica over rounds we missed while crashed (or
-        // that completed without us), so the schedule stays in lockstep.
+        // Fast-forward the schedule over rounds we missed while crashed (or
+        // that completed without us), so it stays in lockstep.
         while self.started + 1 < round {
-            let _ = self.driver.step(&mut self.replica);
             self.started += 1;
+            self.draw_round(self.started);
         }
         self.begin_round(round)
     }
 
+    /// Draws round `round`'s transfer list into `self.transfers`; rounds are
+    /// drawn in order, one call each. These are the draws the simulator's
+    /// push-pull round makes through `open_channel` — one
+    /// `random_neighbor(v)` per node `v` in order, listing `(v, u)` then
+    /// `(u, v)` — so the list equals `PushPullDriver::transfers`. Past
+    /// `plan.max_rounds` the list is empty, where the driver reports `Done`.
+    fn draw_round(&mut self, round: u64) {
+        self.transfers.clear();
+        if round > self.plan.max_rounds {
+            return;
+        }
+        for v in 0..self.graph.num_nodes() as NodeId {
+            if let Some(u) = self.graph.random_neighbor(v, &mut self.rng) {
+                self.transfers.push(Transfer::new(v, u));
+                self.transfers.push(Transfer::new(u, v));
+            }
+        }
+    }
+
     fn begin_round(&mut self, round: u64) -> Vec<Envelope> {
-        // Snapshot BEFORE stepping: payloads carry pre-round state, exactly
-        // as the engine's deliver() reads sender sets snapshotted before any
-        // merge of the round.
+        // Payloads carry the pre-round store, exactly as the engine's
+        // deliver() reads sender sets snapshotted before any merge of the
+        // round.
         let payload_hex = self.store.to_hex();
-        let stepped = self.driver.step(&mut self.replica);
+        self.draw_round(round);
         self.started = round;
-        let transfers: &[rpc_engine::Transfer] =
-            if stepped == StepStatus::Done { &[] } else { self.driver.transfers() };
         let mut sends = Vec::new();
         let mut expected = Vec::new();
         let mut packets = 0u64;
         let mut exchanges = 0u64;
-        for (i, t) in transfers.iter().enumerate() {
+        for (i, t) in self.transfers.iter().enumerate() {
             if t.from == self.id {
                 // Every transfer counts as a packet (the simulator records
                 // packets before its self-loop skip), but only transfers to
@@ -382,14 +409,100 @@ impl<'g> NodeActor<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpc_scenarios::{plan_runtime, registry};
+    use rpc_engine::Simulation;
+    use rpc_gossip::{ProtocolDriver, PushPullDriver, StepStatus};
+    use rpc_scenarios::{plan_runtime, registry, scenario_engine_seeds, StopRule};
+
+    fn registry_graph(name: &str, n: usize, seed: u64) -> Graph {
+        let scenario = registry::find(name, n).expect("registry scenario");
+        scenario.topology.build().generate(scenario_engine_seeds(seed).0)
+    }
 
     fn setup(n: usize, seed: u64) -> (Graph, RuntimePlan) {
         let scenario = registry::find("sparse-er", n).expect("registry scenario");
-        let graph =
-            scenario.topology.build().generate(rpc_scenarios::scenario_engine_seeds(seed).0);
+        let graph = registry_graph("sparse-er", n, seed);
         let plan = plan_runtime(&scenario, seed, &graph).expect("benign push-pull plan");
         (graph, plan)
+    }
+
+    /// A plan over `graph` with a round cap small enough to reach in a test.
+    fn short_plan(graph: &Graph, seed: u64, max_rounds: u64) -> RuntimePlan {
+        let (graph_seed, run_seed) = scenario_engine_seeds(seed);
+        RuntimePlan {
+            graph_seed,
+            run_seed,
+            tracked: 0,
+            stop: StopRule::Complete,
+            max_rounds,
+            n: graph.num_nodes(),
+        }
+    }
+
+    fn start_round(id: NodeId, round: u64) -> Envelope {
+        Envelope::new(COORDINATOR, node_name(id), Body::StartRound { round, attempt: 0 })
+    }
+
+    /// The peers `out` sends gossip to, in send order.
+    fn gossip_peers(out: &[Envelope]) -> Vec<String> {
+        out.iter()
+            .filter(|e| matches!(e.body, Body::Gossip { .. }))
+            .map(|e| e.dest.clone())
+            .collect()
+    }
+
+    /// Draws an actor's schedule beside a `Simulation::new(graph, run_seed)`
+    /// stepped by `PushPullDriver`, two rounds past the cap: the transfer
+    /// lists agree in every round and are empty once the driver is done.
+    fn assert_schedule_matches_driver(graph: &Graph, seed: u64) {
+        let plan = short_plan(graph, seed, 4);
+        let mut actor = NodeActor::new(graph, &plan, 0);
+        let mut sim = Simulation::new(graph, plan.run_seed);
+        let mut driver = PushPullDriver::new(plan.max_rounds as usize);
+        for round in 1..=plan.max_rounds + 2 {
+            actor.draw_round(round);
+            let reference: &[Transfer] = match driver.step(&mut sim) {
+                StepStatus::Running => driver.transfers(),
+                StepStatus::Done => &[],
+            };
+            assert_eq!(actor.transfers, reference, "n={} seed={seed} round {round}", plan.n);
+            assert_eq!(actor.transfers.is_empty(), round > plan.max_rounds, "round {round}");
+        }
+    }
+
+    #[test]
+    fn schedule_replays_the_push_pull_driver() {
+        for name in ["sparse-er", "dense-er", "adversarial-start"] {
+            for n in [16, 64, 192] {
+                for seed in [1, 2] {
+                    assert_schedule_matches_driver(&registry_graph(name, n, seed), seed);
+                }
+            }
+        }
+        // Node 5 is isolated: it opens no channel and draws nothing.
+        let graph = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)]);
+        assert_eq!(graph.degree(5), 0);
+        for seed in [1, 2, 3] {
+            assert_schedule_matches_driver(&graph, seed);
+        }
+    }
+
+    #[test]
+    fn restarted_actor_sends_to_the_same_peers_as_an_uninterrupted_one() {
+        let graph = registry_graph("sparse-er", 64, 3);
+        // The cap falls inside the loop, so restarts past it are covered too.
+        let plan = short_plan(&graph, 3, 5);
+        let mut sent = 0;
+        for id in [0, 17, 63] {
+            let mut steady = NodeActor::new(&graph, &plan, id);
+            for round in 1..=plan.max_rounds + 2 {
+                let mut rejoined = NodeActor::restart(&graph, &plan, id, steady.store().words());
+                let expected = gossip_peers(&steady.handle(&start_round(id, round)));
+                let got = gossip_peers(&rejoined.handle(&start_round(id, round)));
+                assert_eq!(got, expected, "node {id} restarted at round {round}");
+                sent += expected.len();
+            }
+        }
+        assert!(sent > 0, "the compared rounds sent gossip");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The per-node persisted rumor state.
 //!
-//! [`RumorStore`] is the runtime's own bitset over rumor ids `0..n`. It is
-//! deliberately independent of the engine's `MessageSet` — the store is the
-//! *durable* state a node owns (what survives a crash-restart and what goes
-//! on the wire), while the engine set is the *replica* state a node derives
-//! by re-executing the deterministic protocol. Keeping the two separate is
-//! what lets the invariant suite compare them: a forged rumor is a bit set
-//! in the store that never arrived in a decoded payload.
+//! [`RumorStore`] is the runtime's own bitset over rumor ids `0..n`, and a
+//! node's only rumor state: the *durable* state it owns (what survives a
+//! crash-restart and what goes on the wire). It is deliberately independent
+//! of the engine's `MessageSet` — a node replays only the contact schedule,
+//! never the simulator's message sets. Each actor keeps a second store of
+//! what provably arrived, which is what lets the invariant suite check
+//! provenance: a forged rumor is a bit set in the store that never arrived
+//! in a decoded payload.
 //!
 //! The hex codec here is the wire representation used by `gossip` payloads
 //! and the stdio host's `--state-path` persistence: each 64-bit word becomes

@@ -10,11 +10,15 @@
 //! **Under faults** the trace may differ, but the safety invariants hold:
 //! no rumor is forged (everything a node holds arrived in a payload), each
 //! node's reported coverage is monotone round over round, and a
-//! crash-restarted node rejoins with its persisted rumors intact.
+//! crash-restarted node rejoins with its persisted rumors intact. One
+//! hostile mix is also pinned exactly, so a change to the contact schedule
+//! or the message order cannot pass behind the invariants.
 
 use proptest::prelude::*;
 use rpc_obs::TraceWriter;
-use rpc_runtime::{run_cluster, run_cluster_observed, ClusterConfig, NemesisSpec, RetryPolicy};
+use rpc_runtime::{
+    run_cluster, run_cluster_observed, ClusterConfig, FaultStats, NemesisSpec, RetryPolicy,
+};
 use rpc_scenarios::{registry, run_scenario_traced, ScenarioTrace, StoppedBy};
 
 /// Drives one scenario through both executors and asserts trace equality.
@@ -189,6 +193,122 @@ fn hostile_nemesis_run_completes_with_invariants_intact() {
             assert!(snapshot[node] >= prev);
             prev = snapshot[node];
         }
+    }
+}
+
+/// The invariants above would still hold if a change moved the contact
+/// schedule or reordered messages, so one hostile mix is pinned exactly:
+/// any change that keeps the runtime's behaviour reproduces every count
+/// below.
+#[test]
+fn hostile_runs_are_pinned_exactly() {
+    struct Pinned {
+        seed: u64,
+        rounds: u64,
+        total_packets: u64,
+        total_exchanges: u64,
+        retries: u64,
+        quorum_advances: u64,
+        faults: FaultStats,
+        /// Per-round sums of the reported per-node counts, round 0 first.
+        coverage: [u64; 13],
+        /// The crashed node and how many rumors it persisted.
+        audit: (u32, u32),
+    }
+    let pinned = [
+        Pinned {
+            seed: 1,
+            rounds: 12,
+            total_packets: 3603,
+            total_exchanges: 1873,
+            retries: 17,
+            quorum_advances: 12,
+            faults: FaultStats {
+                dropped: 1182,
+                delayed: 2154,
+                duplicated: 549,
+                partition_drops: 723,
+                crash_drops: 20,
+                crashes: 1,
+                restarts: 1,
+            },
+            coverage: [
+                192, 497, 1304, 3536, 6321, 11392, 21650, 30598, 35210, 36572, 36824, 36832, 36864,
+            ],
+            audit: (3, 50),
+        },
+        Pinned {
+            seed: 2,
+            rounds: 12,
+            total_packets: 3552,
+            total_exchanges: 1858,
+            retries: 17,
+            quorum_advances: 12,
+            faults: FaultStats {
+                dropped: 1193,
+                delayed: 2166,
+                duplicated: 551,
+                partition_drops: 719,
+                crash_drops: 26,
+                crashes: 1,
+                restarts: 1,
+            },
+            coverage: [
+                192, 513, 1339, 3485, 6760, 10828, 20328, 29721, 34843, 36572, 36847, 36863, 36864,
+            ],
+            audit: (3, 15),
+        },
+        Pinned {
+            seed: 3,
+            rounds: 12,
+            total_packets: 3576,
+            total_exchanges: 1865,
+            retries: 17,
+            quorum_advances: 12,
+            faults: FaultStats {
+                dropped: 1187,
+                delayed: 2158,
+                duplicated: 549,
+                partition_drops: 773,
+                crash_drops: 22,
+                crashes: 1,
+                restarts: 1,
+            },
+            coverage: [
+                192, 518, 1349, 3343, 6110, 10232, 19816, 29854, 34780, 36421, 36795, 36863, 36864,
+            ],
+            audit: (3, 52),
+        },
+    ];
+    let scenario = registry::find("sparse-er", 192).unwrap();
+    let config = ClusterConfig {
+        policy: RetryPolicy::default(),
+        nemesis: NemesisSpec::parse(
+            "drop=0.1,delay=0.2:3,duplicate=0.05,partition=4:2,crash=3@5+4,seed=9",
+        )
+        .unwrap(),
+    };
+    for p in &pinned {
+        let outcome = run_cluster(&scenario, p.seed, &config).unwrap();
+        let seed = p.seed;
+        assert_eq!(outcome.stopped_by, StoppedBy::Complete, "seed {seed}");
+        assert_eq!(outcome.rounds, p.rounds, "seed {seed}: rounds");
+        assert_eq!(outcome.total_packets, p.total_packets, "seed {seed}: packets");
+        assert_eq!(outcome.total_exchanges, p.total_exchanges, "seed {seed}: exchanges");
+        assert_eq!(outcome.retries, p.retries, "seed {seed}: retries");
+        assert_eq!(outcome.quorum_advances, p.quorum_advances, "seed {seed}: quorum advances");
+        assert_eq!(outcome.faults, p.faults, "seed {seed}: faults");
+        assert_eq!(outcome.final_counts, vec![192; 192], "seed {seed}: final counts");
+        let coverage: Vec<u64> =
+            outcome.count_history.iter().map(|counts| counts.iter().sum()).collect();
+        assert_eq!(coverage, p.coverage, "seed {seed}: per-round coverage");
+        let audits: Vec<(u32, u32)> = outcome
+            .crash_audits
+            .iter()
+            .map(|a| (a.node, a.persisted.iter().map(|w| w.count_ones()).sum()))
+            .collect();
+        assert_eq!(audits, [p.audit], "seed {seed}: crash audit");
+        assert!(!outcome.forged, "seed {seed}");
     }
 }
 

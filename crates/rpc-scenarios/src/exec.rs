@@ -113,7 +113,8 @@ fn env_rng(seed: u64) -> SmallRng {
 pub struct RuntimePlan {
     /// Seed for the topology generator (the graph stream of `seed`).
     pub graph_seed: u64,
-    /// Seed for every node's engine replica (the run stream of `seed`).
+    /// Seed of the run stream every node replays its contact schedule from
+    /// (the run stream of `seed`).
     pub run_seed: u64,
     /// The tracked rumor's source node.
     pub tracked: NodeId,
