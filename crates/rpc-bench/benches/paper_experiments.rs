@@ -1,6 +1,6 @@
 //! Criterion benchmark suite — one group per paper artefact.
 //!
-//! The groups mirror the experiment index in DESIGN.md:
+//! The groups mirror the experiment index of the `rpc-experiments` crate:
 //!
 //! * `table1_config` — deriving the Table 1 constants,
 //! * `fig1_overhead` — the three gossiping algorithms of Figure 1,

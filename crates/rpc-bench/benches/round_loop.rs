@@ -14,12 +14,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rpc_bench::round_loop::{build_topology, run_streaming, STREAM_RUMORS};
+use rpc_bench::round_loop::{build_topology, run_protocol, run_streaming, STREAM_RUMORS};
 use rpc_engine::{Engine, Simulation, UnpackedSimulation};
-use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
 
 const SEED: u64 = 0xC0FFEE;
-const MAX_ROUNDS: usize = 10_000;
 
 fn bench_round_loop(c: &mut Criterion) {
     let n = 1 << 10;
@@ -30,14 +28,14 @@ fn bench_round_loop(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("packed", topology), &graph, |b, graph| {
             b.iter(|| {
                 let mut sim = Simulation::new(black_box(graph), SEED);
-                PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+                run_protocol("push-pull", &mut sim);
                 black_box(sim.metrics().rounds())
             })
         });
         group.bench_with_input(BenchmarkId::new("unpacked", topology), &graph, |b, graph| {
             b.iter(|| {
                 let mut sim = UnpackedSimulation::new(black_box(graph), SEED);
-                PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+                run_protocol("push-pull", &mut sim);
                 black_box(sim.metrics().rounds())
             })
         });
@@ -74,14 +72,14 @@ fn bench_fast_gossiping_round_loop(c: &mut Criterion) {
     group.bench_function("packed", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(black_box(&graph), SEED);
-            FastGossiping::paper(n).run_on_engine(&mut sim);
+            run_protocol("fast-gossiping", &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
     group.bench_function("unpacked", |b| {
         b.iter(|| {
             let mut sim = UnpackedSimulation::new(black_box(&graph), SEED);
-            FastGossiping::paper(n).run_on_engine(&mut sim);
+            run_protocol("fast-gossiping", &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
@@ -98,14 +96,14 @@ fn bench_memory_model_round_loop(c: &mut Criterion) {
     group.bench_function("packed", |b| {
         b.iter(|| {
             let mut sim = Simulation::new(black_box(&graph), SEED);
-            MemoryGossip::paper(n).run_on_engine(&mut sim);
+            run_protocol("memory", &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
     group.bench_function("unpacked", |b| {
         b.iter(|| {
             let mut sim = UnpackedSimulation::new(black_box(&graph), SEED);
-            MemoryGossip::paper(n).run_on_engine(&mut sim);
+            run_protocol("memory", &mut sim);
             black_box(sim.metrics().rounds())
         })
     });
@@ -124,7 +122,7 @@ fn bench_round_loop_churny(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = Simulation::new(&graph, SEED);
             sim.kill_nodes(black_box(&departed));
-            PushPullGossip::run_until_complete(&mut sim, MAX_ROUNDS);
+            run_protocol("push-pull", &mut sim);
             black_box(sim.metrics().rounds())
         })
     });

@@ -1,17 +1,16 @@
-//! `scenario_step`: the step-driven scenario executor vs the block protocol
-//! loop.
+//! `scenario_step`: the step-driven scenario executor vs a bare driver loop.
 //!
 //! The scenario engine drives every protocol one round at a time through
 //! `rpc_gossip::ProtocolDriver`, evaluating the stop rule between rounds.
-//! These benches make the stepper's overhead visible against the block
-//! `run_on_engine` loop (which is itself a thin loop over the same driver,
-//! minus the per-round stop-rule evaluation and executor bookkeeping). Both
-//! sides regenerate the graph per iteration so the comparison is
-//! apples-to-apples.
+//! These benches make the executor's overhead visible against
+//! `rpc_gossip::run_driver` over the same driver, which skips the per-round
+//! stop-rule evaluation and executor bookkeeping. Both sides regenerate the
+//! graph per iteration so the comparison is apples-to-apples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use rpc_bench::round_loop::run_protocol;
 use rpc_engine::Simulation;
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::scenario_engine_seeds;
@@ -37,13 +36,13 @@ fn bench_scenario_step(c: &mut Criterion) {
             |b, scenario| b.iter(|| black_box(run_scenario(black_box(scenario), SEED, 1).rounds)),
         );
         group.bench_with_input(
-            BenchmarkId::new("block", protocol.name()),
+            BenchmarkId::new("driver", protocol.name()),
             &scenario,
             |b, scenario| {
                 b.iter(|| {
                     let graph = scenario.topology.build().generate(graph_seed);
                     let mut sim = Simulation::new(black_box(&graph), run_seed);
-                    black_box(protocol.run_on_engine(n, &mut sim).rounds())
+                    black_box(run_protocol(protocol.name(), &mut sim))
                 })
             },
         );

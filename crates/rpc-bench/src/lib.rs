@@ -49,7 +49,10 @@ pub mod round_loop {
     use std::time::Instant;
 
     use rpc_engine::{Engine, MessageId, Simulation, UnpackedSimulation};
-    use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
+    use rpc_gossip::{
+        run_driver, FastGossiping, FastGossipingDriver, MemoryDriver, MemoryGossip, ProtocolDriver,
+        PushPullDriver, StepStatus,
+    };
     use rpc_graphs::log2n;
     use rpc_graphs::prelude::*;
 
@@ -75,20 +78,19 @@ pub mod round_loop {
     pub const STREAM_RUMORS: usize = 16;
 
     /// Runs one protocol to its natural end on any engine, with the same
-    /// paper constants the scenario layer uses.
-    fn run_protocol<E: Engine>(protocol: &str, sim: &mut E) {
+    /// paper constants the scenario layer uses, and returns the rounds run.
+    pub fn run_protocol<E: Engine>(protocol: &str, sim: &mut E) -> u64 {
         let n = sim.num_nodes();
         match protocol {
-            "push-pull" => {
-                PushPullGossip::run_until_complete(sim, MAX_ROUNDS);
-            }
+            "push-pull" => run_driver(&mut PushPullDriver::new(MAX_ROUNDS), sim),
             "fast-gossiping" => {
-                FastGossiping::paper(n).run_on_engine(sim);
+                run_driver(&mut FastGossipingDriver::new(FastGossiping::paper(n), n), sim)
             }
-            "memory" => {
-                MemoryGossip::paper(n).run_on_engine(sim);
+            "memory" => run_driver(&mut MemoryDriver::new(MemoryGossip::paper(n)), sim),
+            STREAM_PROTOCOL => {
+                run_streaming(sim);
+                sim.metrics().rounds()
             }
-            STREAM_PROTOCOL => run_streaming(sim),
             other => panic!("unknown benchmark protocol: {other}"),
         }
     }
@@ -102,9 +104,10 @@ pub mod round_loop {
             sim.schedule_injection((m / 2) as u64, ((m * 97) % n) as NodeId, m as MessageId);
         }
         sim.track_message(0);
-        PushPullGossip::run_until(sim, MAX_ROUNDS, |sim: &E| {
-            (0..STREAM_RUMORS).all(|m| sim.rumor_complete(m as MessageId))
-        });
+        let mut driver = PushPullDriver::new(MAX_ROUNDS);
+        while !(0..STREAM_RUMORS).all(|m| sim.rumor_complete(m as MessageId))
+            && driver.step(sim) == StepStatus::Running
+        {}
     }
 
     /// Builds the engine a protocol row runs on: streaming rows get a

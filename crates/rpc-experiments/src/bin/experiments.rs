@@ -18,7 +18,7 @@
 //!   ablation    Fast-gossiping parameter tuning
 //!   phases      Per-phase packet breakdown
 //!   scenario    Built-in scenario registry as one sweep
-//!   sweep       Every sweep-backed experiment above (respects --only)
+//!   sweep       Every experiment above but separation (respects --only)
 //!   all         sweep + separation
 //!   profile     Aggregate a recorded trace into a per-cell timing table
 //!   node        Serve one gossip node over JSON lines on stdin/stdout
@@ -61,7 +61,7 @@
 //! the per-cell CI aggregates.
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use rpc_experiments::{
@@ -77,38 +77,46 @@ use rpc_scenarios::{
     arithmetic_failure_sweep, dense_size_sweep, failure_sweep, registry, size_sweep, SweepReport,
 };
 
+/// What an experiment subcommand returns: `Err` carries the message printed
+/// before the command exits nonzero.
+type CmdResult = Result<(), String>;
+
 /// Prints the table as Markdown and, with `--out`, writes `<stem>.csv` plus —
-/// for sweep-backed experiments — the `<stem>.json` report.
-fn emit(table: &Table, stem: &str, report: Option<&SweepReport>, opts: &RunOpts) {
+/// for sweep-backed experiments — the `<stem>.json` report. A failed write is
+/// an error: the command must not succeed without its outputs.
+fn emit(table: &Table, stem: &str, report: Option<&SweepReport>, opts: &RunOpts) -> CmdResult {
     println!("{}", table.to_markdown());
     if let Some(dir) = &opts.out_dir {
         let csv = dir.join(format!("{stem}.csv"));
-        match table.write_csv(&csv) {
-            Ok(()) => eprintln!("wrote {}", csv.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", csv.display()),
-        }
+        table.write_csv(&csv).map_err(|e| format!("failed to write {}: {e}", csv.display()))?;
+        eprintln!("wrote {}", csv.display());
         if let Some(report) = report {
-            let json = dir.join(format!("{stem}.json"));
-            match std::fs::write(&json, report.to_json()) {
-                Ok(()) => eprintln!("wrote {}", json.display()),
-                Err(e) => eprintln!("failed to write {}: {e}", json.display()),
-            }
+            write_file(&dir.join(format!("{stem}.json")), &report.to_json())?;
         }
     }
+    Ok(())
 }
 
-fn run_table1(opts: &RunOpts) {
-    emit(&table1::run(&[1_000, 10_000, 100_000, 1_000_000]), "table1_constants", None, opts);
+/// Writes `contents` to `path`, reporting the write on stderr.
+fn write_file(path: &Path, contents: &str) -> CmdResult {
+    std::fs::write(path, contents)
+        .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
 }
 
-fn run_fig1(opts: &RunOpts) {
+fn run_table1(opts: &RunOpts) -> CmdResult {
+    emit(&table1::run(&[1_000, 10_000, 100_000, 1_000_000]), "table1_constants", None, opts)
+}
+
+fn run_fig1(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n);
     let spec = fig1::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
     let report = opts.run_spec(&spec);
-    emit(&fig1::table(&report), "fig1_overhead", Some(&report), opts);
+    emit(&fig1::table(&report), "fig1_overhead", Some(&report), opts)
 }
 
-fn run_fig2(opts: &RunOpts) {
+fn run_fig2(opts: &RunOpts) -> CmdResult {
     // The paper uses n = 10^6; we use the largest size of the configured scale.
     let n = opts.scale.max_n;
     let failures = failure_sweep((n / 1000).max(2), n / 10);
@@ -122,10 +130,10 @@ fn run_fig2(opts: &RunOpts) {
     );
     let report = opts.run_spec(&spec);
     let title = format!("Figure 2 — additional loss ratio, n = {n}");
-    emit(&robustness::loss_ratio_table(&title, &report), "fig2_robustness", Some(&report), opts);
+    emit(&robustness::loss_ratio_table(&title, &report), "fig2_robustness", Some(&report), opts)
 }
 
-fn run_fig3(opts: &RunOpts) {
+fn run_fig3(opts: &RunOpts) -> CmdResult {
     for (idx, n) in [opts.scale.max_n / 8, opts.scale.max_n / 2].into_iter().enumerate() {
         let n = n.max(512);
         let failures = failure_sweep((n / 1000).max(2), n / 10);
@@ -144,18 +152,19 @@ fn run_fig3(opts: &RunOpts) {
             &format!("fig3_robustness_n{n}"),
             Some(&report),
             opts,
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn run_fig4(opts: &RunOpts) {
+fn run_fig4(opts: &RunOpts) -> CmdResult {
     let sizes = dense_size_sweep(opts.scale.max_n / 8, opts.scale.max_n);
     let spec = fig4::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
     let report = opts.run_spec(&spec);
-    emit(&fig4::table(&report), "fig4_fastgossip_detail", Some(&report), opts);
+    emit(&fig4::table(&report), "fig4_fastgossip_detail", Some(&report), opts)
 }
 
-fn run_fig5(opts: &RunOpts) {
+fn run_fig5(opts: &RunOpts) -> CmdResult {
     for (idx, n) in [opts.scale.max_n / 8, opts.scale.max_n / 2].into_iter().enumerate() {
         let n = n.max(512);
         let step = (n / 20).max(1);
@@ -176,24 +185,26 @@ fn run_fig5(opts: &RunOpts) {
             &format!("fig5_thresholds_n{n}"),
             Some(&report),
             opts,
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn run_theory(opts: &RunOpts) {
+fn run_theory(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n.min(1 << 14));
     let spec = theory_check::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
     let report = opts.run_spec(&spec);
-    emit(&theory_check::table(&report), "theory_shape_check", Some(&report), opts);
+    emit(&theory_check::table(&report), "theory_shape_check", Some(&report), opts)
 }
 
-fn run_separation(opts: &RunOpts) {
+fn run_separation(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n.min(1 << 14));
-    let points = separation::run(&sizes, opts.scale.repetitions, opts.scale.seed);
-    emit(&separation::table(&points), "separation_broadcast_vs_gossip", None, opts);
+    let spec = separation::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
+    let report = opts.run_spec(&spec);
+    emit(&separation::table(&report), "separation_broadcast_vs_gossip", Some(&report), opts)
 }
 
-fn run_ablation(opts: &RunOpts) {
+fn run_ablation(opts: &RunOpts) -> CmdResult {
     let n = (opts.scale.max_n / 4).max(1024);
     let spec = ablation::spec(
         n,
@@ -203,17 +214,17 @@ fn run_ablation(opts: &RunOpts) {
         opts.policy("packets_per_node"),
     );
     let report = opts.run_spec(&spec);
-    emit(&ablation::table(&report), "ablation_fast_gossiping", Some(&report), opts);
+    emit(&ablation::table(&report), "ablation_fast_gossiping", Some(&report), opts)
 }
 
-fn run_phases(opts: &RunOpts) {
+fn run_phases(opts: &RunOpts) -> CmdResult {
     let n = (opts.scale.max_n / 4).max(1024);
     let spec = phases::spec(n, opts.scale.seed, opts.policy("packets_per_node"));
     let report = opts.run_spec(&spec);
-    emit(&phases::table(&report), "phase_breakdown", Some(&report), opts);
+    emit(&phases::table(&report), "phase_breakdown", Some(&report), opts)
 }
 
-fn run_scenarios(opts: &RunOpts) {
+fn run_scenarios(opts: &RunOpts) -> CmdResult {
     // Scenario graphs use a quarter of the sweep's largest size: the registry
     // runs 24 scenarios (all three protocols under complete/rounds/coverage
     // stop rules, the hostile-dimension set — zone crashes, loss bursts,
@@ -224,14 +235,13 @@ fn run_scenarios(opts: &RunOpts) {
     let n = (opts.scale.max_n / 4).max(256);
     let spec = scenario::spec(n, opts.scale.seed, opts.policy("rounds"));
     let report = opts.run_spec(&spec);
-    emit(&scenario::table(&report), "scenarios", Some(&report), opts);
+    emit(&scenario::table(&report), "scenarios", Some(&report), opts)
 }
 
-/// The sweep-backed experiments in `sweep`/`all` execution order. `table1`
-/// rides along (constants only, no spec); `separation` is the one simulation
-/// experiment outside the engine and runs only under `all` or its own
-/// subcommand.
-type NamedExperiment = (&'static str, fn(&RunOpts));
+/// The experiments of `sweep`/`all`, in execution order. `table1` rides along
+/// (constants only, no spec); `separation` runs only under `all` or its own
+/// subcommand, so `sweep` keeps its quick-scale cost.
+type NamedExperiment = (&'static str, fn(&RunOpts) -> CmdResult);
 
 const SWEEP_EXPERIMENTS: &[NamedExperiment] = &[
     ("table1", run_table1),
@@ -246,17 +256,18 @@ const SWEEP_EXPERIMENTS: &[NamedExperiment] = &[
     ("scenario", run_scenarios),
 ];
 
-fn run_sweep(opts: &RunOpts) {
+fn run_sweep(opts: &RunOpts) -> CmdResult {
     for (name, run) in SWEEP_EXPERIMENTS {
         if opts.should_run(name) {
-            run(opts);
+            run(opts)?;
         }
     }
+    Ok(())
 }
 
 /// Aggregates a JSON-lines trace (from `--profile` / `--trace-out`) into the
 /// per-cell, per-core timing table.
-fn run_profile(opts: &RunOpts) -> Result<(), String> {
+fn run_profile(opts: &RunOpts) -> CmdResult {
     let path = opts.trace_path().unwrap_or_else(|| {
         opts.out_dir
             .as_deref()
@@ -266,15 +277,11 @@ fn run_profile(opts: &RunOpts) -> Result<(), String> {
     if rows.is_empty() {
         return Err(format!("trace {} contains no sweep cells", path.display()));
     }
-    emit(&profile::table(&rows), "profile", None, opts);
-    if let Some(dir) = &opts.out_dir {
-        let json = dir.join("profile.json");
-        match std::fs::write(&json, profile::to_json(&rows)) {
-            Ok(()) => eprintln!("wrote {}", json.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", json.display()),
-        }
+    emit(&profile::table(&rows), "profile", None, opts)?;
+    match &opts.out_dir {
+        Some(dir) => write_file(&dir.join("profile.json"), &profile::to_json(&rows)),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// With tracing enabled, start every invocation from an empty trace file:
@@ -417,7 +424,7 @@ fn main() -> ExitCode {
     if command != "profile" {
         truncate_trace(&opts);
     }
-    match command.as_str() {
+    let result = match command.as_str() {
         "table1" => run_table1(&opts),
         "fig1" => run_fig1(&opts),
         "fig2" => run_fig2(&opts),
@@ -430,18 +437,14 @@ fn main() -> ExitCode {
         "phases" => run_phases(&opts),
         "scenario" => run_scenarios(&opts),
         "sweep" => run_sweep(&opts),
-        "all" => {
-            run_sweep(&opts);
+        "all" => run_sweep(&opts).and_then(|()| {
             if opts.should_run("separation") {
-                run_separation(&opts);
+                run_separation(&opts)
+            } else {
+                Ok(())
             }
-        }
-        "profile" => {
-            if let Err(e) = run_profile(&opts) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        }),
+        "profile" => run_profile(&opts),
         "help" | "--help" | "-h" => {
             println!(
                 "usage: experiments \
@@ -453,11 +456,15 @@ fn main() -> ExitCode {
                  experiments cluster [--scenario NAME] [--n N] [--seed S] [--nemesis SPEC] \
                  [--trace-out FILE] [--require-complete]"
             );
+            Ok(())
         }
-        other => {
-            eprintln!("unknown subcommand: {other} (try `experiments help`)");
-            return ExitCode::FAILURE;
+        other => Err(format!("unknown subcommand: {other} (try `experiments help`)")),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

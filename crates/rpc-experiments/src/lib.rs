@@ -24,15 +24,16 @@
 //! | Per-phase packet breakdown | [`phases`] | `phases` |
 //! | Scenario registry (churn/loss/crash workloads) | [`scenario`] | `scenario` |
 //!
-//! The `sweep` subcommand runs every sweep-backed experiment in one go,
-//! sharing a cell cache so interrupted runs resume where they stopped.
-//! [`table1`] samples no randomness (constants only) and [`separation`] drives
-//! a protocol without a stepper, so those two stay outside the sweep engine.
+//! The `sweep` subcommand runs the experiments in one go, sharing a cell
+//! cache so interrupted runs resume where they stopped. [`table1`] samples no
+//! randomness (constants only) and rides along. [`separation`] is a sweep
+//! spec too, but runs only under its own subcommand and `all` (= `sweep` +
+//! `separation`), so `sweep` keeps its quick-scale cost.
 //!
 //! The default sizes are scaled to laptop hardware (the paper used four
-//! 64-core machines with 512 GB–1 TB of RAM and graphs up to 10⁶ nodes; see
-//! DESIGN.md for the substitution argument). Every experiment takes the sizes
-//! as parameters, so larger runs only require different CLI flags.
+//! 64-core machines with 512 GB–1 TB of RAM and graphs up to 10⁶ nodes).
+//! Every experiment takes the sizes as parameters, so larger runs only
+//! require different CLI flags.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

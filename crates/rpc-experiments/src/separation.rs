@@ -11,81 +11,57 @@
 //! off one table: the broadcast ratio (random / complete) grows with `n`,
 //! while the gossiping ratio stays near 1.
 //!
-//! This is the one simulation experiment *not* expressed as a sweep spec:
-//! [`PushPullBroadcast`] has no [`rpc_gossip::ProtocolDriver`], so its runs go
-//! through the block-run oracle API rather than the scenario stepper, and the
-//! whole experiment stays a bespoke loop with its own seed schedule.
+//! The experiment is a [`SweepSpec`] grid `n × protocol × topology`: the
+//! push-pull broadcast of one rumor injected at node 0 in round 0, and
+//! fast-gossiping, each on the complete graph and on `G(n, log² n / n)`. The
+//! adaptive CI stop watches `packets_per_node` — rumor transmissions per node
+//! for the broadcast — and the table pivots each size's four cells into one
+//! row.
 
-use rpc_engine::{derive_seed, Accounting};
-use rpc_gossip::prelude::*;
-use rpc_graphs::prelude::*;
+use rpc_scenarios::{
+    AxisPoint, CellJob, InjectionEntry, ProtocolSpec, RepPolicy, Scenario, SweepReport, SweepSpec,
+    TopologySpec,
+};
 
 use crate::report::{fmt3, Table};
 
-/// The per-repetition seed schedule of this experiment.
-fn seeds(base_seed: u64, repetitions: usize) -> Vec<u64> {
-    (0..repetitions as u64).map(|i| derive_seed(base_seed, 0, i)).collect()
+/// The two protocols of the contrast, as `protocol` axis values.
+pub const PROTOCOLS: [&str; 2] = ["broadcast-push-pull", "fast-gossiping"];
+
+/// The two topologies, as `topology` axis values.
+pub const TOPOLOGIES: [&str; 2] = ["complete", "er-paper"];
+
+/// Builds the scenario cell for one `(n, protocol, topology)` grid point.
+fn cell(point: &AxisPoint) -> CellJob {
+    let n: usize = point.parse("n");
+    let topology = match point.get("topology") {
+        "complete" => TopologySpec::Complete { n },
+        _ => TopologySpec::ErdosRenyiPaper { n },
+    };
+    let builder = Scenario::builder("separation", topology);
+    let builder = match point.get("protocol") {
+        "broadcast-push-pull" => builder
+            .protocol(ProtocolSpec::BroadcastPushPull)
+            .inject_explicit(vec![InjectionEntry { round: 0, source: 0 }]),
+        _ => builder.protocol(ProtocolSpec::FastGossiping),
+    };
+    CellJob::scenario(builder.build().expect("separation scenario is valid"))
 }
 
-/// One measured point of the separation experiment.
-#[derive(Clone, Debug)]
-pub struct SeparationPoint {
-    /// Graph size.
-    pub n: usize,
-    /// Push-pull broadcast: transmissions per node on the complete graph.
-    pub broadcast_complete: f64,
-    /// Push-pull broadcast: transmissions per node on `G(n, log² n / n)`.
-    pub broadcast_random: f64,
-    /// Fast-gossiping: packets per node on the complete graph.
-    pub gossip_complete: f64,
-    /// Fast-gossiping: packets per node on `G(n, log² n / n)`.
-    pub gossip_random: f64,
+/// The separation sweep: every size crossed with both protocols and both
+/// topologies.
+pub fn spec(sizes: &[usize], seed: u64, policy: RepPolicy) -> SweepSpec {
+    SweepSpec::grid("separation", seed, policy)
+        .axis("n", sizes.iter().copied())
+        .axis("protocol", PROTOCOLS)
+        .axis("topology", TOPOLOGIES)
+        .cells(|point| Some(cell(point)))
+        .expect("separation grid is well-formed")
 }
 
-impl SeparationPoint {
-    /// Random/complete overhead ratio for broadcasting.
-    pub fn broadcast_ratio(&self) -> f64 {
-        self.broadcast_random / self.broadcast_complete
-    }
-
-    /// Random/complete overhead ratio for gossiping.
-    pub fn gossip_ratio(&self) -> f64 {
-        self.gossip_random / self.gossip_complete
-    }
-}
-
-/// Runs the separation experiment for the given sizes.
-pub fn run(sizes: &[usize], repetitions: usize, base_seed: u64) -> Vec<SeparationPoint> {
-    let mut points = Vec::new();
-    for &n in sizes {
-        let er = ErdosRenyi::paper_density(n);
-        let kn = CompleteGraph::new(n);
-        let mut sums = [0.0f64; 4];
-        let run_seeds = seeds(base_seed, repetitions);
-        for (i, &seed) in run_seeds.iter().enumerate() {
-            let random = er.generate(seed ^ ((i as u64) << 32));
-            let complete = kn.generate(seed);
-            let broadcast = PushPullBroadcast::default();
-            sums[0] += broadcast.run(&complete, seed).transmissions_per_node(n);
-            sums[1] += broadcast.run(&random, seed).transmissions_per_node(n);
-            let gossip = FastGossiping::paper(n);
-            sums[2] += gossip.run(&complete, seed).messages_per_node(Accounting::PerPacket);
-            sums[3] += gossip.run(&random, seed).messages_per_node(Accounting::PerPacket);
-        }
-        let reps = repetitions.max(1) as f64;
-        points.push(SeparationPoint {
-            n,
-            broadcast_complete: sums[0] / reps,
-            broadcast_random: sums[1] / reps,
-            gossip_complete: sums[2] / reps,
-            gossip_random: sums[3] / reps,
-        });
-    }
-    points
-}
-
-/// Renders the separation points as a table.
-pub fn table(points: &[SeparationPoint]) -> Table {
+/// Renders the sweep report as the separation table: one row per size with
+/// the four cells' mean `packets_per_node` and the random/complete ratios.
+pub fn table(report: &SweepReport) -> Table {
     let mut table = Table::new(
         "Broadcast vs gossip — per-node overhead on complete vs random graphs",
         &[
@@ -98,15 +74,33 @@ pub fn table(points: &[SeparationPoint]) -> Table {
             "gossip_ratio",
         ],
     );
-    for p in points {
+    let mut sizes: Vec<&str> = report.cells.iter().filter_map(|c| c.axis("n")).collect();
+    sizes.dedup();
+    for n in sizes {
+        let mean = |protocol: &str, topology: &str| {
+            report
+                .cells
+                .iter()
+                .find(|c| {
+                    c.axis("n") == Some(n)
+                        && c.axis("protocol") == Some(protocol)
+                        && c.axis("topology") == Some(topology)
+                })
+                .and_then(|c| c.mean("packets_per_node"))
+                .unwrap_or_else(|| panic!("no {protocol} cell on {topology} at n = {n}"))
+        };
+        let [broadcast, gossip] = PROTOCOLS;
+        let [complete, random] = TOPOLOGIES;
+        let (bc, br) = (mean(broadcast, complete), mean(broadcast, random));
+        let (gc, gr) = (mean(gossip, complete), mean(gossip, random));
         table.push_row(vec![
-            p.n.to_string(),
-            fmt3(p.broadcast_complete),
-            fmt3(p.broadcast_random),
-            fmt3(p.broadcast_ratio()),
-            fmt3(p.gossip_complete),
-            fmt3(p.gossip_random),
-            fmt3(p.gossip_ratio()),
+            n.to_string(),
+            fmt3(bc),
+            fmt3(br),
+            fmt3(br / bc),
+            fmt3(gc),
+            fmt3(gr),
+            fmt3(gr / gc),
         ]);
     }
     table
@@ -115,18 +109,32 @@ pub fn table(points: &[SeparationPoint]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpc_scenarios::SweepRunner;
 
     #[test]
     fn gossip_ratio_is_close_to_one() {
-        let points = run(&[512], 1, 4);
-        assert_eq!(points.len(), 1);
-        let p = &points[0];
+        let report = SweepRunner::new().run(&spec(&[512], 4, RepPolicy::fixed(1)));
+        assert_eq!(report.cells.len(), 4);
+        assert!(report.cells.iter().all(|c| c.mean("completed") == Some(1.0)));
+        let t = table(&report);
+        assert_eq!(t.len(), 1);
+        let value = |column: &str| -> f64 {
+            let i = t.columns.iter().position(|c| c == column).expect("known column");
+            t.rows[0][i].parse().expect("numeric cell")
+        };
+        let gossip_ratio = value("gossip_ratio");
         assert!(
-            (0.5..=2.0).contains(&p.gossip_ratio()),
-            "gossiping should not separate by density, ratio {:.2}",
-            p.gossip_ratio()
+            (0.5..=2.0).contains(&gossip_ratio),
+            "gossiping should not separate by density, ratio {gossip_ratio:.2}"
         );
-        assert!(p.broadcast_complete > 0.0 && p.broadcast_random > 0.0);
-        assert_eq!(table(&points).len(), 1);
+        assert!(value("broadcast_complete") > 0.0 && value("broadcast_random") > 0.0);
+    }
+
+    #[test]
+    fn csv_is_identical_across_thread_counts() {
+        let s = spec(&[256, 512], 7, RepPolicy::fixed(2));
+        let one = table(&SweepRunner::new().with_threads(1).run(&s)).to_csv();
+        let two = table(&SweepRunner::new().with_threads(2).run(&s)).to_csv();
+        assert_eq!(one, two, "separation CSV must not depend on --threads");
     }
 }

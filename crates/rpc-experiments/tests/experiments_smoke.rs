@@ -105,6 +105,26 @@ fn scenario_quick_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn unwritable_out_dir_fails_the_command() {
+    // An `--out` directory below a regular file cannot be created: the
+    // command must report the failed write and exit nonzero instead of
+    // succeeding without its outputs.
+    let blocker =
+        std::env::temp_dir().join(format!("experiments-smoke-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "a regular file").expect("scratch file should be writable");
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table1", "--quick", "--out"])
+        .arg(blocker.join("out"))
+        .output()
+        .expect("experiments binary should spawn");
+    std::fs::remove_file(&blocker).ok();
+    assert!(!output.status.success(), "a failed CSV write must fail the command");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("failed to write"), "stderr: {stderr}");
+    assert!(stderr.contains("table1_constants.csv"), "stderr: {stderr}");
+}
+
+#[test]
 fn unknown_subcommand_fails_with_message() {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("no-such-figure")

@@ -7,14 +7,14 @@
 //! achieved in sparse random graphs. Gossiping, by the paper's main result,
 //! shows *no* such density separation. These two baselines let the experiment
 //! harness reproduce that motivating contrast.
+//!
+//! [`BroadcastDriver`] executes the rounds of both; [`PushBroadcast`] and
+//! [`PushPullBroadcast`] run it once from a single source.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-use rpc_engine::{Engine, Transfer};
+use rpc_engine::{Engine, Simulation, Transfer};
 use rpc_graphs::{Graph, NodeId};
 
-use crate::runner::{ProtocolDriver, StepStatus};
+use crate::runner::{run_driver, ProtocolDriver, StepStatus};
 
 /// Result of one broadcast run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,17 +55,16 @@ pub enum BroadcastMode {
 
 /// The resumable [`ProtocolDriver`] for the broadcasting baselines, run on a
 /// *streaming* engine: the rumor(s) enter via scheduled injection, nodes
-/// start empty, and "informed" means a non-empty message set. Unlike the
-/// standalone [`PushBroadcast`] / [`PushPullBroadcast`] (which own their RNG
-/// and graph walk), the driver goes through the [`Engine`] primitives, so
-/// broadcasting composes with stop rules, hostile environments and the
-/// packed/unpacked equivalence suites exactly like the gossiping protocols —
-/// this is the paper's broadcast-vs-gossip density contrast made runnable
-/// under the scenario engine.
+/// start empty, and "informed" means a non-empty message set. The driver goes
+/// through the [`Engine`] primitives, so broadcasting composes with stop
+/// rules, hostile environments and the packed/unpacked equivalence suites
+/// exactly like the gossiping protocols — this is the paper's
+/// broadcast-vs-gossip density contrast made runnable under the scenario
+/// engine.
 ///
-/// Accounting mirrors the baselines: one channel exchange per opener, one
-/// packet per actual rumor transmission (informed side only) — uninformed
-/// sides of a push-pull channel transmit nothing.
+/// Accounting: one channel exchange per opener, one packet per actual rumor
+/// transmission (informed side only) — uninformed sides of a push-pull
+/// channel transmit nothing.
 #[derive(Clone, Debug)]
 pub struct BroadcastDriver {
     mode: BroadcastMode,
@@ -88,11 +87,6 @@ impl BroadcastDriver {
     /// Push-pull broadcasting.
     pub fn push_pull(max_rounds: usize) -> Self {
         Self::new(BroadcastMode::PushPull, max_rounds)
-    }
-
-    /// Rounds executed so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 }
 
@@ -171,54 +165,11 @@ impl Default for PushBroadcast {
 }
 
 impl PushBroadcast {
-    /// Runs the broadcast on `graph`.
+    /// Runs the broadcast on `graph`: the rumor appears at `source` in round
+    /// 0, and a [`BroadcastDriver`] runs until every node is informed or
+    /// `max_rounds` rounds have run.
     pub fn run(&self, graph: &Graph, seed: u64) -> BroadcastOutcome {
-        let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
-        let mut informed = vec![false; n];
-        if n == 0 {
-            return BroadcastOutcome {
-                rounds: 0,
-                transmissions: 0,
-                channels_opened: 0,
-                informed: 0,
-                completed: true,
-            };
-        }
-        informed[self.source as usize] = true;
-        let mut informed_count = 1usize;
-        let mut rounds = 0u64;
-        let mut transmissions = 0u64;
-        let mut channels = 0u64;
-        while informed_count < n && (rounds as usize) < self.max_rounds {
-            let mut newly: Vec<NodeId> = Vec::new();
-            for v in 0..n as NodeId {
-                if !informed[v as usize] {
-                    continue;
-                }
-                if let Some(u) = graph.random_neighbor(v, &mut rng) {
-                    channels += 1;
-                    transmissions += 1;
-                    if !informed[u as usize] {
-                        newly.push(u);
-                    }
-                }
-            }
-            for u in newly {
-                if !informed[u as usize] {
-                    informed[u as usize] = true;
-                    informed_count += 1;
-                }
-            }
-            rounds += 1;
-        }
-        BroadcastOutcome {
-            rounds,
-            transmissions,
-            channels_opened: channels,
-            informed: informed_count,
-            completed: informed_count == n,
-        }
+        run_single_rumor(BroadcastMode::Push, self.source, self.max_rounds, graph, seed)
     }
 }
 
@@ -242,60 +193,43 @@ impl Default for PushPullBroadcast {
 }
 
 impl PushPullBroadcast {
-    /// Runs the broadcast on `graph`.
+    /// Runs the broadcast on `graph`: the rumor appears at `source` in round
+    /// 0, and a [`BroadcastDriver`] runs until every node is informed or
+    /// `max_rounds` rounds have run.
     pub fn run(&self, graph: &Graph, seed: u64) -> BroadcastOutcome {
-        let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut informed = vec![false; n];
-        if n == 0 {
-            return BroadcastOutcome {
-                rounds: 0,
-                transmissions: 0,
-                channels_opened: 0,
-                informed: 0,
-                completed: true,
-            };
-        }
-        informed[self.source as usize] = true;
-        let mut informed_count = 1usize;
-        let mut rounds = 0u64;
-        let mut transmissions = 0u64;
-        let mut channels = 0u64;
-        while informed_count < n && (rounds as usize) < self.max_rounds {
-            let mut newly: Vec<NodeId> = Vec::new();
-            for v in 0..n as NodeId {
-                let Some(u) = graph.random_neighbor(v, &mut rng) else { continue };
-                channels += 1;
-                // Push: the caller sends the rumor if it has it.
-                if informed[v as usize] {
-                    transmissions += 1;
-                    if !informed[u as usize] {
-                        newly.push(u);
-                    }
-                }
-                // Pull: the callee sends the rumor back if it has it.
-                if informed[u as usize] {
-                    transmissions += 1;
-                    if !informed[v as usize] {
-                        newly.push(v);
-                    }
-                }
-            }
-            for u in newly {
-                if !informed[u as usize] {
-                    informed[u as usize] = true;
-                    informed_count += 1;
-                }
-            }
-            rounds += 1;
-        }
-        BroadcastOutcome {
-            rounds,
-            transmissions,
-            channels_opened: channels,
-            informed: informed_count,
-            completed: informed_count == n,
-        }
+        run_single_rumor(BroadcastMode::PushPull, self.source, self.max_rounds, graph, seed)
+    }
+}
+
+/// The body of both `run`s: a streaming engine with a one-rumor universe,
+/// the rumor injected at `source` in round 0.
+fn run_single_rumor(
+    mode: BroadcastMode,
+    source: NodeId,
+    max_rounds: usize,
+    graph: &Graph,
+    seed: u64,
+) -> BroadcastOutcome {
+    let n = graph.num_nodes();
+    if n == 0 {
+        return BroadcastOutcome {
+            rounds: 0,
+            transmissions: 0,
+            channels_opened: 0,
+            informed: 0,
+            completed: true,
+        };
+    }
+    let mut sim = Simulation::new_streaming(graph, seed, 1);
+    sim.schedule_injection(0, source, 0);
+    let rounds = run_driver(&mut BroadcastDriver::new(mode, max_rounds), &mut sim);
+    let informed = sim.rumor_informed_count(0);
+    BroadcastOutcome {
+        rounds,
+        transmissions: sim.metrics().total_packets(),
+        channels_opened: sim.metrics().channels_opened(),
+        informed,
+        completed: informed == n,
     }
 }
 

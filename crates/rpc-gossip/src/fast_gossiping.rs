@@ -18,7 +18,7 @@
 //! are the tuned constants of Table 1.
 
 use rand::Rng;
-use rpc_graphs::NodeId;
+use rpc_graphs::{Graph, NodeId};
 
 use rpc_engine::{Engine, Simulation, Transfer, Walk, WalkQueues};
 
@@ -83,7 +83,7 @@ impl FastGossiping {
 
 /// Where the [`FastGossipingDriver`] is inside Algorithm 1's schedule. Each
 /// variant corresponds to one kind of synchronous round; the nested loops of
-/// the block formulation become explicit resumable states.
+/// the pseudocode become explicit resumable states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FgState {
     /// Phase I, distribution step `step` of `phase1_steps`.
@@ -102,14 +102,12 @@ enum FgState {
 
 /// The resumable [`ProtocolDriver`] for Algorithm 1 (fast-gossiping).
 ///
-/// The three phases of the block formulation — and the nested
-/// coin-flip/forward/broadcast loops inside Phase II — are encoded as an
-/// explicit state machine, one state transition per synchronous round, so the
-/// scenario engine can evaluate stop rules and record traces between *any*
-/// two rounds of the protocol. Cross-round protocol state (the walk queues,
-/// the active set of the short broadcasts, the Phase III step counter) lives
-/// in the driver; stepping to exhaustion consumes randomness exactly like
-/// [`FastGossiping::run_on_engine`], which is a thin loop over this driver.
+/// The three phases — and the nested coin-flip/forward/broadcast loops
+/// inside Phase II — are encoded as an explicit state machine, one state
+/// transition per synchronous round, so the scenario engine can evaluate stop
+/// rules and record traces between *any* two rounds of the protocol.
+/// Cross-round protocol state (the walk queues, the active set of the short
+/// broadcasts, the Phase III step counter) lives in the driver.
 #[derive(Clone, Debug)]
 pub struct FastGossipingDriver {
     alg: FastGossiping,
@@ -289,27 +287,9 @@ impl ProtocolDriver for FastGossipingDriver {
             }
         }
         // Cross any boundary this round just reached, so phase markers land
-        // between rounds exactly where the block formulation put them.
+        // right after a phase's last round and `finished` flips with it.
         self.advance_boundaries(sim);
         StepStatus::Running
-    }
-}
-
-impl FastGossiping {
-    /// Runs all three phases on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point): a thin loop
-    /// over [`FastGossipingDriver::step`], bit-identical to stepping the
-    /// driver manually.
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        let mut driver = FastGossipingDriver::new(*self, sim.num_nodes());
-        run_driver(&mut driver, sim);
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
     }
 }
 
@@ -318,8 +298,10 @@ impl GossipAlgorithm for FastGossiping {
         "fast-gossiping"
     }
 
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
+    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome {
+        let mut sim = Simulation::new(graph, seed);
+        run_driver(&mut FastGossipingDriver::new(*self, graph.num_nodes()), &mut sim);
+        GossipOutcome::from_engine(&sim)
     }
 }
 

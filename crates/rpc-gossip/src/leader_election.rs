@@ -12,18 +12,19 @@
 use rand::Rng;
 use rpc_graphs::{Graph, NodeId};
 
-use rpc_engine::{sample_failures, ContactLists, Engine, Metrics};
+use rpc_engine::{sample_failures, ContactLists, Engine, Simulation};
 
 use crate::config::LeaderElectionConfig;
-use crate::runner::{ProtocolDriver, StepStatus};
+use crate::runner::{run_driver, ProtocolDriver, StepStatus};
 
 /// Result of one leader-election run.
 #[derive(Clone, Debug)]
 pub struct ElectionOutcome {
     /// The elected leader, if exactly one node considers itself the leader.
     pub leader: Option<NodeId>,
-    /// All nodes that consider themselves the leader (should have length 1).
-    pub self_declared_leaders: Vec<NodeId>,
+    /// Number of alive nodes that consider themselves the leader (1 on
+    /// success).
+    pub self_declared: usize,
     /// Number of nodes that declared themselves candidates.
     pub candidates: usize,
     /// Number of alive nodes that know the winning identifier at the end
@@ -79,129 +80,26 @@ impl LeaderElection {
     }
 
     /// Runs the election with `failures` uniformly random nodes failing before
-    /// the algorithm starts (the non-malicious failure model of Lemma 19).
+    /// the algorithm starts (the non-malicious failure model of Lemma 19):
+    /// the failures are drawn from the engine RNG, then a
+    /// [`LeaderElectionDriver`] runs its schedule.
     pub fn run_with_failures(&self, graph: &Graph, seed: u64, failures: usize) -> ElectionOutcome {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-
         let n = graph.num_nodes();
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x6c62_272e_07bb_0142);
-        let mut metrics = Metrics::new(n);
-        let mut alive = vec![true; n];
-        for v in sample_failures(n, failures.min(n), &mut rng) {
-            alive[v as usize] = false;
-        }
-        let alive_nodes = alive.iter().filter(|&&a| a).count();
-
-        // smallest identifier seen so far (identifier of node v is v itself).
-        let mut best: Vec<Option<NodeId>> = vec![None; n];
-        let mut active = vec![false; n];
-        let mut contacts = ContactLists::new(n);
-        let mut candidates = 0usize;
-
-        // Candidate selection + initial push.
-        let mut arrivals: Vec<(NodeId, NodeId)> = Vec::new();
-        for v in 0..n as NodeId {
-            if !alive[v as usize] || !rng.gen_bool(self.config.candidate_probability) {
-                continue;
-            }
-            candidates += 1;
-            active[v as usize] = true;
-            best[v as usize] = Some(v);
-            let avoid = contacts.get(v).addresses();
-            if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                metrics.record_channel_open(v);
-                metrics.record_packet(v);
-                metrics.record_exchange(v);
-                contacts.get_mut(v).store(0, u, 0);
-                arrivals.push((u, v));
-            }
-        }
-        metrics.finish_round();
-        Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-
-        // Push steps: active nodes forward the smallest identifier seen.
-        for step in 1..=self.config.push_steps as u64 {
-            arrivals.clear();
-            for v in 0..n as NodeId {
-                if !alive[v as usize] || !active[v as usize] {
-                    continue;
-                }
-                let Some(id) = best[v as usize] else { continue };
-                let avoid = contacts.get(v).addresses();
-                if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                    metrics.record_channel_open(v);
-                    metrics.record_packet(v);
-                    metrics.record_exchange(v);
-                    contacts.get_mut(v).store((step % 4) as usize, u, step);
-                    arrivals.push((u, id));
-                }
-            }
-            metrics.finish_round();
-            Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-        }
-
-        // Pull steps: every node opens an avoided channel and adopts the
-        // neighbour's smallest identifier.
-        for step in 1..=self.config.pull_steps as u64 {
-            arrivals.clear();
-            for v in 0..n as NodeId {
-                if !alive[v as usize] {
-                    continue;
-                }
-                let avoid = contacts.get(v).addresses();
-                if let Some(u) = graph.random_neighbor_avoiding(v, &avoid, &mut rng) {
-                    metrics.record_channel_open(v);
-                    contacts.get_mut(v).store((step % 4) as usize, u, 1000 + step);
-                    if alive[u as usize] {
-                        if let Some(id) = best[u as usize] {
-                            metrics.record_packet(u);
-                            metrics.record_exchange(v);
-                            arrivals.push((v, id));
-                        }
-                    }
-                }
-            }
-            metrics.finish_round();
-            Self::apply_arrivals(&arrivals, &alive, &mut best, &mut active);
-        }
-
-        let self_declared: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| alive[v as usize] && best[v as usize] == Some(v))
-            .collect();
-        let leader = if self_declared.len() == 1 { Some(self_declared[0]) } else { None };
-        let aware_nodes = match leader {
-            Some(l) => (0..n).filter(|&v| alive[v] && best[v] == Some(l)).count(),
-            None => 0,
-        };
-
+        let mut sim = Simulation::new(graph, seed);
+        let failed = sample_failures(n, failures.min(n), sim.rng_mut());
+        sim.fail_nodes(&failed);
+        let mut driver = LeaderElectionDriver::new(self.config, n);
+        run_driver(&mut driver, &mut sim);
+        let summary = driver.election_summary().expect("summary cached once the schedule ends");
         ElectionOutcome {
-            leader,
-            self_declared_leaders: self_declared,
-            candidates,
-            aware_nodes,
-            alive_nodes,
-            rounds: metrics.rounds(),
-            total_packets: metrics.total_packets(),
-            channels_opened: metrics.channels_opened(),
-        }
-    }
-
-    fn apply_arrivals(
-        arrivals: &[(NodeId, NodeId)],
-        alive: &[bool],
-        best: &mut [Option<NodeId>],
-        active: &mut [bool],
-    ) {
-        for &(to, id) in arrivals {
-            if !alive[to as usize] {
-                continue;
-            }
-            active[to as usize] = true;
-            best[to as usize] = Some(match best[to as usize] {
-                Some(current) => current.min(id),
-                None => id,
-            });
+            leader: summary.leader,
+            self_declared: summary.self_declared,
+            candidates: summary.candidates,
+            aware_nodes: summary.aware_nodes,
+            alive_nodes: summary.alive_nodes,
+            rounds: sim.metrics().rounds(),
+            total_packets: sim.metrics().total_packets(),
+            channels_opened: sim.metrics().channels_opened(),
         }
     }
 }
@@ -226,8 +124,8 @@ pub struct ElectionSummary {
 
 impl ElectionSummary {
     /// Whether election succeeded: exactly one self-declared leader and every
-    /// participating node is aware of it (the [`ElectionOutcome::succeeded`]
-    /// predicate, evaluated against the engine's liveness masks).
+    /// participating node is aware of it (the same predicate as
+    /// [`ElectionOutcome::succeeded`]).
     pub fn succeeded(&self) -> bool {
         self.leader.is_some() && self.aware_nodes == self.alive_nodes
     }
@@ -246,13 +144,12 @@ enum ElectionStage {
     Done,
 }
 
-/// The resumable [`ProtocolDriver`] for Algorithm 3: the same candidacy →
-/// push → pull schedule as [`LeaderElection::run_with_failures`], but driven
-/// through an [`Engine`] so the scenario executor's environment dimensions
-/// (crash bursts, per-round traces, stop rules) apply uniformly. Liveness
-/// comes from the engine's masks instead of a bespoke `alive` vector, and
-/// every random draw (candidacy coin, `open-avoid` neighbour choice) comes
-/// from the engine RNG, so runs are deterministic in the scenario seed.
+/// The resumable [`ProtocolDriver`] for Algorithm 3: candidacy, then
+/// `push_steps` push rounds, then `pull_steps` pull rounds, one per step.
+/// Liveness comes from the engine's masks, so the scenario executor's
+/// environment dimensions (crash bursts, per-round traces, stop rules) apply
+/// uniformly, and every random draw (candidacy coin, `open-avoid` neighbour
+/// choice) comes from the engine RNG, so runs are deterministic in the seed.
 #[derive(Clone, Debug)]
 pub struct LeaderElectionDriver {
     config: LeaderElectionConfig,
@@ -366,8 +263,8 @@ impl ProtocolDriver for LeaderElectionDriver {
             return StepStatus::Done;
         }
         // Land scheduled crash/churn bursts before the stage body so a
-        // round-0 failure regime excludes its victims from candidacy, exactly
-        // like `run_with_failures` fails nodes before the algorithm starts.
+        // round-0 failure regime excludes its victims from candidacy, like
+        // the failures `LeaderElection::run_with_failures` applies up front.
         sim.apply_due_events();
         let n = sim.num_nodes();
         self.arrivals.clear();
@@ -441,7 +338,7 @@ mod tests {
         let g = ErdosRenyi::paper_density(n).generate(1);
         let outcome = LeaderElection::paper(n).run(&g, 2);
         assert!(outcome.succeeded(), "election failed: {outcome:?}");
-        assert_eq!(outcome.self_declared_leaders.len(), 1);
+        assert_eq!(outcome.self_declared, 1);
         // The winner is the candidate with the smallest identifier, and every
         // node ends up aware of it.
         assert_eq!(outcome.aware_nodes, n);
@@ -456,7 +353,7 @@ mod tests {
         let leader = outcome.leader.expect("leader elected");
         // No self-declared leader can have a larger id than the winner, and
         // the winner considers itself leader, so it is the minimum.
-        assert!(outcome.self_declared_leaders.iter().all(|&v| v == leader));
+        assert_eq!(outcome.self_declared, 1, "{leader} is not the only self-declared leader");
     }
 
     #[test]
@@ -575,7 +472,7 @@ mod tests {
         let failures = 64; // ≈ n^{0.55}
         let outcome = LeaderElection::paper(n).run_with_failures(&g, 12, failures);
         assert_eq!(outcome.alive_nodes, n - failures);
-        assert_eq!(outcome.self_declared_leaders.len(), 1, "no unique leader: {outcome:?}");
+        assert_eq!(outcome.self_declared, 1, "no unique leader: {outcome:?}");
         // Awareness may miss a handful of nodes whose neighbourhood was hit by
         // failures; require near-complete awareness.
         assert!(outcome.aware_nodes as f64 >= 0.99 * outcome.alive_nodes as f64);

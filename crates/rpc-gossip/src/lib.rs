@@ -15,12 +15,15 @@
 //! | Table 1 | [`config`] | per-phase constants |
 //! | Theorems 1–3 reference values | [`theory`] | closed-form bounds |
 //!
-//! Every gossiping protocol is additionally exposed as a resumable
-//! [`ProtocolDriver`] ([`PushPullDriver`], [`FastGossipingDriver`],
-//! [`MemoryDriver`]) executing one synchronous round per step — the interface
-//! the scenario engine uses to apply round budgets, coverage thresholds and
-//! per-round tracing to any algorithm. The block entry points are thin loops
-//! over the drivers, with identical RNG draw sequences.
+//! Every protocol is a resumable [`ProtocolDriver`] ([`PushPullDriver`],
+//! [`FastGossipingDriver`], [`MemoryDriver`], [`LeaderElectionDriver`],
+//! [`BroadcastDriver`]) executing one synchronous round per step; its `step`
+//! is the only code that runs the protocol's rounds. The scenario engine
+//! steps drivers to apply round budgets, coverage thresholds and per-round
+//! tracing to any algorithm, and the convenience entry points —
+//! `run(graph, seed)` on every protocol type (as in the example below), the
+//! memory model's robustness run, the election with failures — are short
+//! bodies over [`run_driver`].
 //!
 //! ```
 //! use rpc_gossip::prelude::*;

@@ -22,9 +22,10 @@
 //!
 //! The per-round bodies live in three small private sub-machines —
 //! `TreeBuilder` (Phase I), `GatherReplay` (Phase II), `BroadcastBack`
-//! (Phase III) — shared verbatim by the block entry points (`build_tree` et
-//! al., used by the robustness harness) and the resumable [`MemoryDriver`],
-//! so the stepped and block formulations cannot diverge.
+//! (Phase III) — and only the resumable [`MemoryDriver`] steps them. The
+//! robustness run ([`MemoryGossip::run_with_failures`]) steps the same
+//! driver to the end of Phase I, fails nodes, and steps on to the end of
+//! Phase II.
 
 use std::collections::HashMap;
 
@@ -333,36 +334,6 @@ impl MemoryGossip {
         self.leader.unwrap_or_else(|| sim.rng_mut().gen_range(0..n))
     }
 
-    /// Phase I: builds one leader-rooted communication tree. Only the leader's
-    /// message is (conceptually) transmitted, so node states are not touched;
-    /// every packet is still accounted for. A block loop over the same
-    /// [`TreeBuilder`] rounds the [`MemoryDriver`] steps through.
-    fn build_tree<E: Engine>(&self, sim: &mut E, leader: NodeId) -> TreeRecord {
-        let mut builder = TreeBuilder::new(sim.num_nodes(), leader);
-        // Push long-steps: the leader is active in long-step 0; afterwards
-        // the nodes informed in long-step j are active in long-step j+1.
-        for _ in 0..self.config.phase1_push_steps / 4 {
-            for k in 0..4 {
-                builder.push_round(sim, k);
-            }
-            builder.end_long_step();
-        }
-        while !builder.pull_done(sim, &self.config) {
-            builder.pull_round(sim);
-        }
-        builder.record
-    }
-
-    /// Phase II: replays one tree backwards in time so that every covered
-    /// node's original messages reach the leader.
-    fn gather<E: Engine>(&self, sim: &mut E, tree: &TreeRecord) {
-        let replay = GatherReplay::new(tree);
-        let mut transfers: Vec<Transfer> = Vec::new();
-        for t in 1..=replay.total_steps {
-            replay.round(sim, t, &mut transfers);
-        }
-    }
-
     /// Runs the complete algorithm with `failures` uniformly random node
     /// failures injected between Phase I (tree construction) and Phase II
     /// (gathering), exactly as in the robustness experiments of Figures 2, 3
@@ -384,11 +355,16 @@ impl MemoryGossip {
     /// checked out of a [`rpc_engine::SimulationArena`]). Consumes randomness
     /// identically to `run_with_failures`, so both produce bit-identical
     /// outcomes for the same `(graph, seed)`.
+    ///
+    /// A [`MemoryDriver`] runs both phases: it is stepped until the
+    /// `phase1-trees` marker, the failures land, and it is stepped on until
+    /// the `phase2-gather` marker.
     pub fn run_with_failures_on(&self, sim: &mut Simulation<'_>, failures: usize) -> GossipOutcome {
-        let leader = self.pick_leader(sim);
-        let trees: Vec<TreeRecord> =
-            (0..self.config.trees).map(|_| self.build_tree(sim, leader)).collect();
-        sim.metrics_mut().mark_phase("phase1-trees");
+        let mut driver = MemoryDriver::new(*self);
+        // Starting before the first step lets `trees: 0` mark its empty
+        // phases without running a round.
+        let leader = driver.start(sim);
+        driver.step_until_phase(sim, "phase1-trees");
 
         // Fail `failures` random non-leader nodes.
         let n = sim.num_nodes();
@@ -401,11 +377,7 @@ impl MemoryGossip {
             Vec::new()
         };
         sim.fail_nodes(&failed);
-
-        for tree in &trees {
-            self.gather(sim, tree);
-        }
-        sim.metrics_mut().mark_phase("phase2-gather");
+        driver.step_until_phase(sim, "phase2-gather");
 
         // Count healthy original messages missing at the leader.
         let leader_state = sim.state(leader);
@@ -452,11 +424,9 @@ enum MmState {
 /// Tree construction, the backwards replay and the closing broadcast become
 /// explicit per-round states; the contact lists, partial tree records and
 /// replay indices live in the driver, so the scenario engine can stop, trace
-/// or budget the protocol between any two rounds. Stepping to exhaustion
-/// consumes randomness exactly like [`MemoryGossip::run_on_engine`], which is
-/// a thin loop over this driver. The leader draw (one RNG value when no
-/// leader is fixed) happens inside the first `step` call, preserving the
-/// block formulation's draw order.
+/// or budget the protocol between any two rounds. The leader draw (one RNG
+/// value when no leader is fixed) happens inside the first `step` call,
+/// before any round.
 #[derive(Clone, Debug)]
 pub struct MemoryDriver {
     alg: MemoryGossip,
@@ -482,6 +452,35 @@ impl MemoryDriver {
             broadcast: None,
             transfers: Vec::new(),
         }
+    }
+
+    /// Draws the leader (unless fixed) and positions the driver before its
+    /// first round. With `trees: 0`, Phases I and II are empty, so both their
+    /// markers land here. Called by the first `step`, or up front by
+    /// [`MemoryGossip::run_with_failures_on`]; returns the leader.
+    fn start<E: Engine>(&mut self, sim: &mut E) -> NodeId {
+        let leader = self.alg.pick_leader(sim);
+        self.leader = Some(leader);
+        if self.alg.config.trees == 0 {
+            // Degenerate configuration: no trees, so Phases I and II are
+            // empty and the broadcast starts immediately.
+            sim.metrics_mut().mark_phase("phase1-trees");
+            sim.metrics_mut().mark_phase("phase2-gather");
+            self.broadcast = Some(BroadcastBack::new(sim.num_nodes(), leader));
+            self.state = MmState::BroadcastPush { long_step: 0, k: 0 };
+        } else {
+            self.builder = Some(TreeBuilder::new(sim.num_nodes(), leader));
+            self.state = MmState::TreePush { tree: 0, long_step: 0, k: 0 };
+        }
+        leader
+    }
+
+    /// Steps until the engine holds the phase marker `label` (or the
+    /// schedule is exhausted).
+    fn step_until_phase<E: Engine>(&mut self, sim: &mut E, label: &str) {
+        while !sim.metrics().phases().iter().any(|p| p.label == label)
+            && self.step(sim) == StepStatus::Running
+        {}
     }
 
     /// Crosses every phase boundary the current position has reached: ends
@@ -576,19 +575,7 @@ impl ProtocolDriver for MemoryDriver {
 
     fn step<E: Engine>(&mut self, sim: &mut E) -> StepStatus {
         if self.state == MmState::Init {
-            let leader = self.alg.pick_leader(sim);
-            self.leader = Some(leader);
-            if self.alg.config.trees == 0 {
-                // Degenerate configuration: no trees, so Phases I and II are
-                // empty and the broadcast starts immediately.
-                sim.metrics_mut().mark_phase("phase1-trees");
-                sim.metrics_mut().mark_phase("phase2-gather");
-                self.broadcast = Some(BroadcastBack::new(sim.num_nodes(), leader));
-                self.state = MmState::BroadcastPush { long_step: 0, k: 0 };
-            } else {
-                self.builder = Some(TreeBuilder::new(sim.num_nodes(), leader));
-                self.state = MmState::TreePush { tree: 0, long_step: 0, k: 0 };
-            }
+            self.start(sim);
         }
         self.advance_boundaries(sim);
         match self.state {
@@ -625,27 +612,9 @@ impl ProtocolDriver for MemoryDriver {
             }
         }
         // Cross any boundary this round just reached, so phase markers land
-        // between rounds exactly where the block formulation put them.
+        // right after a phase's last round and `finished` flips with it.
         self.advance_boundaries(sim);
         StepStatus::Running
-    }
-}
-
-impl MemoryGossip {
-    /// Runs all three phases on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point): a thin loop
-    /// over [`MemoryDriver::step`], bit-identical to stepping the driver
-    /// manually.
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        let mut driver = MemoryDriver::new(*self);
-        run_driver(&mut driver, sim);
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
     }
 }
 
@@ -654,8 +623,10 @@ impl GossipAlgorithm for MemoryGossip {
         "memory"
     }
 
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
+    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome {
+        let mut sim = Simulation::new(graph, seed);
+        run_driver(&mut MemoryDriver::new(*self), &mut sim);
+        GossipOutcome::from_engine(&sim)
     }
 }
 
@@ -703,11 +674,11 @@ mod tests {
     fn gather_collects_every_message_at_the_leader() {
         let n = 512;
         let g = ErdosRenyi::paper_density(n).generate(6);
-        let alg = MemoryGossip::paper(n).with_leader(0);
+        let mut driver = MemoryDriver::new(MemoryGossip::paper(n).with_leader(0));
         let mut sim = Simulation::new(&g, 7);
-        let tree = alg.build_tree(&mut sim, 0);
-        assert!(tree.covered.iter().all(|&c| c), "tree must reach every node");
-        alg.gather(&mut sim, &tree);
+        driver.step_until_phase(&mut sim, "phase2-gather");
+        assert_eq!(driver.trees.len(), 1);
+        assert!(driver.trees[0].covered.iter().all(|&c| c), "tree must reach every node");
         assert!(sim.is_fully_informed(0), "leader is missing messages after the gather phase");
     }
 
@@ -720,13 +691,13 @@ mod tests {
     }
 
     #[test]
-    fn driver_steps_match_the_block_run() {
-        // The block entry point is a thin loop over the driver; stepping
-        // manually — with interleaved read-only queries, as the scenario
-        // engine does — must reproduce it exactly.
+    fn manual_steps_match_run() {
+        // `run` is a loop over the driver; stepping manually — with
+        // interleaved read-only queries, as the scenario engine does — must
+        // reproduce it exactly.
         let n = 256;
         let g = ErdosRenyi::paper_density(n).generate(15);
-        let block = MemoryGossip::paper(n).run(&g, 16);
+        let run = MemoryGossip::paper(n).run(&g, 16);
 
         let mut sim = Simulation::new(&g, 16);
         let mut driver = MemoryDriver::new(MemoryGossip::paper(n));
@@ -739,10 +710,10 @@ mod tests {
                 StepStatus::Running => rounds += 1,
             }
         }
-        assert_eq!(rounds, block.rounds());
-        assert_eq!(sim.metrics().rounds(), block.rounds());
-        assert_eq!(sim.metrics().total_packets(), block.total_packets());
-        assert_eq!(sim.metrics().total_exchanges(), block.total_exchanges());
+        assert_eq!(rounds, run.rounds());
+        assert_eq!(sim.metrics().rounds(), run.rounds());
+        assert_eq!(sim.metrics().total_packets(), run.total_packets());
+        assert_eq!(sim.metrics().total_exchanges(), run.total_exchanges());
         assert!(sim.gossip_complete());
         let labels: Vec<_> = sim.metrics().phases().iter().map(|p| p.label.clone()).collect();
         assert_eq!(labels, vec!["phase1-trees", "phase2-gather", "phase3-broadcast"]);

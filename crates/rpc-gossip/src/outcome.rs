@@ -1,6 +1,6 @@
 //! Result types returned by every gossiping algorithm.
 
-use rpc_engine::{Accounting, Metrics, PhaseSnapshot};
+use rpc_engine::{Accounting, Engine, Metrics, PhaseSnapshot};
 
 /// The outcome of one gossiping run: completion status plus the full
 /// communication accounting.
@@ -41,6 +41,12 @@ impl GossipOutcome {
             failed_nodes,
             phases: metrics.phases().to_vec(),
         }
+    }
+
+    /// The outcome of a failure-free run on `sim`: completion and the fully
+    /// informed count read from the engine, nothing lost or failed.
+    pub(crate) fn from_engine<E: Engine>(sim: &E) -> Self {
+        Self::from_metrics(sim.metrics(), sim.gossip_complete(), sim.fully_informed_count(), 0, 0)
     }
 
     /// Number of nodes in the network.

@@ -11,10 +11,11 @@
 //! node corresponds to the number of rounds" holds.
 
 use rpc_engine::{Engine, Simulation, Transfer};
+use rpc_graphs::Graph;
 
 use crate::config::PushPullConfig;
 use crate::outcome::GossipOutcome;
-use crate::runner::{GossipAlgorithm, ProtocolDriver, StepStatus};
+use crate::runner::{run_driver, GossipAlgorithm, ProtocolDriver, StepStatus};
 
 /// The simple Push-Pull gossiping protocol.
 #[derive(Clone, Copy, Debug, Default)]
@@ -51,7 +52,7 @@ pub(crate) fn push_pull_round<E: Engine>(sim: &mut E, transfers: &mut Vec<Transf
 /// Callers that want to gossip *past* completion (e.g. a scenario round
 /// budget, which specifies a workload of exactly `r` rounds) may simply keep
 /// stepping: rounds past completion still draw randomness and send packets,
-/// exactly like the block loop under a round budget always has.
+/// exactly like any other round.
 #[derive(Clone, Debug)]
 pub struct PushPullDriver {
     max_rounds: usize,
@@ -63,11 +64,6 @@ impl PushPullDriver {
     /// A driver that produces at most `max_rounds` rounds.
     pub fn new(max_rounds: usize) -> Self {
         Self { max_rounds, steps: 0, transfers: Vec::new() }
-    }
-
-    /// Rounds executed so far.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 
     /// The transfer list of the most recently executed round, in schedule
@@ -107,49 +103,6 @@ impl PushPullGossip {
     pub fn new(config: PushPullConfig) -> Self {
         Self { config }
     }
-
-    /// Runs the protocol on an existing simulation (used by other algorithms
-    /// that end with a push-pull phase). Returns the number of executed steps.
-    pub fn run_until_complete<E: Engine>(sim: &mut E, max_rounds: usize) -> usize {
-        Self::run_until(sim, max_rounds, |sim: &E| sim.gossip_complete())
-    }
-
-    /// Runs push-pull rounds until `stop` returns `true` (checked before each
-    /// round) or `max_rounds` rounds have executed, whichever comes first.
-    /// Returns the number of executed steps. This is the step-granular entry
-    /// point callers use for external stop predicates (the closure is `FnMut`
-    /// so callers can record per-round traces while evaluating it); it is a
-    /// thin loop over [`PushPullDriver::step`].
-    ///
-    /// Generic over [`Engine`], so the same round body drives the packed
-    /// production simulation and the unpacked reference oracle.
-    pub fn run_until<E: Engine>(
-        sim: &mut E,
-        max_rounds: usize,
-        mut stop: impl FnMut(&E) -> bool,
-    ) -> usize {
-        let mut driver = PushPullDriver::new(max_rounds);
-        while !stop(sim) {
-            if driver.step(sim) == StepStatus::Done {
-                break;
-            }
-        }
-        driver.steps()
-    }
-
-    /// Runs the protocol to completion on any [`Engine`] (see
-    /// [`GossipAlgorithm::run_on`] for the packed entry point).
-    pub fn run_on_engine<E: Engine>(&self, sim: &mut E) -> GossipOutcome {
-        Self::run_until_complete(sim, self.config.max_rounds);
-        sim.metrics_mut().mark_phase("push-pull");
-        GossipOutcome::from_metrics(
-            sim.metrics(),
-            sim.gossip_complete(),
-            sim.fully_informed_count(),
-            0,
-            0,
-        )
-    }
 }
 
 impl GossipAlgorithm for PushPullGossip {
@@ -157,8 +110,11 @@ impl GossipAlgorithm for PushPullGossip {
         "push-pull"
     }
 
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome {
-        self.run_on_engine(sim)
+    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome {
+        let mut sim = Simulation::new(graph, seed);
+        run_driver(&mut PushPullDriver::new(self.config.max_rounds), &mut sim);
+        sim.metrics_mut().mark_phase("push-pull");
+        GossipOutcome::from_engine(&sim)
     }
 }
 

@@ -1,14 +1,18 @@
-//! The protocol-runner interface: [`GossipAlgorithm`] (run-to-completion over
-//! any graph) and [`ProtocolDriver`] (resumable, one synchronous round per
-//! [`ProtocolDriver::step`] call).
+//! The protocol-runner interface: [`ProtocolDriver`] (resumable, one
+//! synchronous round per [`ProtocolDriver::step`] call) and
+//! [`GossipAlgorithm`] (run a gossiping protocol to completion on a graph).
 //!
-//! Experiments and benchmarks sweep over [`GossipAlgorithm`] trait objects;
-//! the scenario engine drives protocols through [`ProtocolDriver`] so that
-//! round budgets, coverage thresholds and per-round traces work uniformly for
-//! every algorithm — including the phase-based ones, whose phase loops become
-//! explicit resumable states in their drivers.
+//! A driver's `step` is the only code that executes a protocol's rounds. The
+//! scenario engine steps drivers one round at a time, so round budgets,
+//! coverage thresholds and per-round traces work uniformly for every
+//! algorithm — including the phase-based ones, whose phase loops are explicit
+//! resumable states in their drivers. Everything else is a loop over `step`:
+//! [`run_driver`] runs a driver to its natural termination, and the
+//! convenience entry points (`run(graph, seed)` on every protocol type, the
+//! memory model's robustness run, the election with failures) are short
+//! bodies over it.
 
-use rpc_engine::{Engine, Simulation};
+use rpc_engine::Engine;
 use rpc_graphs::Graph;
 
 use crate::leader_election::ElectionSummary;
@@ -35,28 +39,27 @@ pub enum StepStatus {
 /// the engine is what the paper's model puts there (node message sets,
 /// liveness masks, metrics, the RNG). Callers may therefore interleave
 /// `step` calls with arbitrary *read-only* engine queries — stop-rule checks,
-/// coverage counters, trace capture — without perturbing the run.
+/// coverage counters, trace capture — without perturbing the run, and may
+/// act on the engine between two rounds (the memory model's robustness run
+/// fails nodes between Phase I and Phase II that way).
 ///
-/// # RNG-draw preservation contract
+/// # Randomness
 ///
-/// Stepping a driver to exhaustion must consume randomness in **exactly** the
-/// same order as the protocol's block entry point (`run_on_engine`), which is
-/// itself implemented as a thin loop over `step`. Consequently, for a fixed
-/// `(graph, seed)` the sequence of per-round engine states observed through
-/// `step` is bit-identical to the block run — this is what lets the
-/// packed-vs-unpacked trace-equivalence suite extend to stepped runs, and
-/// what makes a stepped scenario outcome equal to the legacy block outcome.
-/// Drivers must not draw from the engine RNG outside of `step` (lazy
-/// initialisation, such as the memory model's leader draw, happens inside
-/// the first `step` call).
+/// Drivers draw randomness only from the engine RNG, inside `step` (lazy
+/// initialisation, such as the memory model's leader draw, happens in the
+/// first call). Two engines that implement the primitives identically
+/// therefore see the same draws in the same order for a fixed
+/// `(graph, seed)` — this is what lets the packed-vs-unpacked
+/// trace-equivalence suite compare the production engine with the unpacked
+/// oracle round by round.
 pub trait ProtocolDriver {
     /// Short name used in reports, matching [`GossipAlgorithm::name`].
     fn name(&self) -> &'static str;
 
     /// Whether the protocol's *natural termination* has been reached: gossip
-    /// completion for push-pull (whose round loop is otherwise unbounded),
-    /// schedule exhaustion for the phase-based protocols. Read-only; never
-    /// draws randomness.
+    /// completion for push-pull and the broadcasts (whose round loops are
+    /// otherwise unbounded), schedule exhaustion for the phase-based
+    /// protocols. Read-only; never draws randomness.
     fn finished<E: Engine>(&self, sim: &E) -> bool;
 
     /// Executes one synchronous round, or returns [`StepStatus::Done`]
@@ -81,48 +84,32 @@ pub trait ProtocolDriver {
     }
 }
 
-/// Steps `driver` until its schedule is exhausted and returns the number of
-/// rounds executed. The phase-based `run_on_engine` implementations reduce to
-/// this loop; push-pull's reduces to [`crate::PushPullGossip::run_until`],
-/// the same loop with an external stop predicate (its natural termination —
-/// gossip completion — is a property of the simulation, not of the driver's
-/// schedule).
+/// Steps `driver` until it reports [`ProtocolDriver::finished`] or its
+/// schedule is exhausted ([`StepStatus::Done`]), and returns the number of
+/// rounds executed. The phase-based drivers flip `finished` right after
+/// their last round, so for them this is exactly their schedule; push-pull
+/// and the broadcasts stop at completion or at their round cap.
 pub fn run_driver<D: ProtocolDriver, E: Engine>(driver: &mut D, sim: &mut E) -> u64 {
     let mut rounds = 0;
-    while let StepStatus::Running = driver.step(sim) {
+    while !driver.finished(sim) && driver.step(sim) == StepStatus::Running {
         rounds += 1;
     }
     rounds
 }
 
-/// A gossiping protocol that can be run on any graph with a given seed.
+/// A gossiping protocol that can be run to completion on any graph with a
+/// given seed. Object safe, so reports and examples can iterate
+/// `Box<dyn GossipAlgorithm>`; every implementation is a short body over its
+/// [`ProtocolDriver`] and [`run_driver`].
 pub trait GossipAlgorithm {
     /// Short name used in reports (e.g. `"push-pull"`, `"fast-gossiping"`,
     /// `"memory"`).
     fn name(&self) -> &'static str;
 
-    /// Runs the protocol as one uninterruptible block on a caller-prepared
-    /// simulation and returns the communication accounting.
-    ///
-    /// **Test-only oracle.** Production harnesses (the scenario executor, the
-    /// sweep engine) drive protocols one round at a time through
-    /// [`ProtocolDriver`], which supports stop rules, round budgets and
-    /// tracing; the block run exists as the reference the stepped path is
-    /// equivalence-tested against (`stepped_complete_runs_equal_block_run_on_engine`
-    /// in `rpc-scenarios`), and for one-off measurements outside the scenario
-    /// stack. The caller may still configure loss, churn/crash schedules or a
-    /// worker-thread count — the engine primitives apply them.
-    fn run_on(&self, sim: &mut Simulation<'_>) -> GossipOutcome;
-
-    /// Runs the protocol to completion on `graph`, deterministically in
-    /// `seed`, and returns the communication accounting. Equivalent to
-    /// [`Self::run_on`] with a freshly created, loss- and churn-free
-    /// simulation — and like it a **test-only oracle**; scenario-driven
-    /// stepping is the production path.
-    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome {
-        let mut sim = Simulation::new(graph, seed);
-        self.run_on(&mut sim)
-    }
+    /// Runs the protocol to completion on a fresh, loss- and churn-free
+    /// simulation of `graph`, deterministically in `seed`, and returns the
+    /// communication accounting.
+    fn run(&self, graph: &Graph, seed: u64) -> GossipOutcome;
 }
 
 #[cfg(test)]

@@ -16,9 +16,11 @@
 //! The executor evaluates the stop rule between any two rounds, emits one
 //! [`ObsEvent::Round`] per evaluation, enforces the scenario's `max_rounds`
 //! cap uniformly, and reports *why* the run ended in
-//! [`ScenarioOutcome::stopped_by`]. Because each driver consumes randomness
-//! exactly like its block `run_on_engine` entry point, a stepped run under
-//! [`StopRule::Complete`] is bit-identical to the legacy block run.
+//! [`ScenarioOutcome::stopped_by`]. Apart from the environment it schedules,
+//! the executor only reads the engine between steps, so a stepped run under
+//! [`StopRule::Complete`] is bit-identical to a bare
+//! [`rpc_gossip::run_driver`] loop over the same driver on an identically
+//! prepared engine.
 //!
 //! ## Five entry points, one core
 //!
@@ -92,9 +94,9 @@ const STREAM_RUN: u64 = 0x0375_6e21;
 
 /// The engine seeds a scenario replication derives from `seed`:
 /// `(graph_seed, run_seed)`. Exposed so harnesses that compare a stepped
-/// [`run_scenario`] against a block `run_on_engine` (the `scenario_step`
-/// bench, equivalence tests) can run the block side on **exactly** the graph
-/// and RNG stream the stepped side uses.
+/// [`run_scenario`] against a bare driver loop (the `scenario_step` bench,
+/// equivalence tests) can run the bare side on **exactly** the graph and RNG
+/// stream the stepped side uses.
 pub fn scenario_engine_seeds(seed: u64) -> (u64, u64) {
     (derive_seed(seed, STREAM_GRAPH, 0), derive_seed(seed, STREAM_RUN, 0))
 }
@@ -753,7 +755,7 @@ impl RumorWatch {
 /// Under a [`StopRule::Rounds`] budget the driver is stepped *past* gossip
 /// completion when necessary — a round budget specifies a workload of exactly
 /// `r` rounds, and those rounds draw randomness and send packets exactly like
-/// the block loop under a budget always has.
+/// any other round.
 fn drive<E: Engine, D: ProtocolDriver, O: Observer>(
     scenario: &Scenario,
     sim: &mut E,
@@ -1131,6 +1133,7 @@ mod tests {
     use super::*;
     use crate::spec::{InjectionEntry, TopologySpec};
     use proptest::prelude::*;
+    use rpc_gossip::BroadcastMode;
 
     fn er(n: usize) -> TopologySpec {
         TopologySpec::ErdosRenyiPaper { n }
@@ -1679,6 +1682,26 @@ mod tests {
         }
     }
 
+    /// What a bare [`rpc_gossip::run_driver`] loop left behind.
+    struct BareRun {
+        rounds: u64,
+        packets: u64,
+        exchanges: u64,
+        succeeded: bool,
+        election: Option<ElectionSummary>,
+    }
+
+    fn bare_run<D: ProtocolDriver, E: Engine>(mut driver: D, sim: &mut E) -> BareRun {
+        let rounds = rpc_gossip::run_driver(&mut driver, sim);
+        BareRun {
+            rounds,
+            packets: sim.metrics().total_packets(),
+            exchanges: sim.metrics().total_exchanges(),
+            succeeded: driver.succeeded(sim),
+            election: driver.election_summary(),
+        }
+    }
+
     #[test]
     fn classic_scenarios_report_no_rumor_stats() {
         let s = Scenario::builder("classic", er(96)).build().unwrap();
@@ -1688,33 +1711,65 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The unified stepper under [`StopRule::Complete`] must reproduce
-        /// the legacy block `run_on_engine` outcome bit for bit, for every
+        /// The unified stepper under [`StopRule::Complete`] must reproduce a
+        /// bare [`rpc_gossip::run_driver`] loop bit for bit, for every
         /// protocol: same graph, same engine seed, same rounds, packets and
-        /// exchanges.
+        /// exchanges, and for the election the same summary. The broadcasts
+        /// run on a streaming engine with the scenario's round-0 injection.
         #[test]
-        fn stepped_complete_runs_equal_block_run_on_engine(
+        fn stepped_complete_runs_equal_bare_driver_runs(
             n in 48usize..128,
-            protocol_pick in 0u8..3,
+            protocol_pick in 0u8..6,
             seed in 0u64..10_000,
         ) {
             let protocol = match protocol_pick {
                 0 => ProtocolSpec::PushPull,
                 1 => ProtocolSpec::FastGossiping,
-                _ => ProtocolSpec::Memory,
+                2 => ProtocolSpec::Memory,
+                3 => ProtocolSpec::BroadcastPush,
+                4 => ProtocolSpec::BroadcastPushPull,
+                _ => ProtocolSpec::LeaderElection,
             };
-            let s = Scenario::builder("step-vs-block", er(n)).protocol(protocol).build().unwrap();
+            let mut builder = Scenario::builder("step-vs-driver", er(n)).protocol(protocol);
+            if protocol.is_broadcast() {
+                builder = builder.inject_explicit(vec![InjectionEntry { round: 0, source: 0 }]);
+            }
+            let s = builder.build().unwrap();
             let stepped = run_scenario(&s, seed, 1);
 
-            // The block run on an identically seeded engine over the same graph.
-            let graph = s.topology.build().generate(derive_seed(seed, STREAM_GRAPH, 0));
-            let mut sim = Simulation::new(&graph, derive_seed(seed, STREAM_RUN, 0));
-            let block = s.protocol.run_on_engine(n, &mut sim);
+            // The bare driver on an identically seeded engine over the same graph.
+            let (graph_seed, run_seed) = scenario_engine_seeds(seed);
+            let graph = s.topology.build().generate(graph_seed);
+            let mut sim = Simulation::new(&graph, run_seed);
+            let max_rounds = s.max_rounds as usize;
+            let bare = match protocol {
+                ProtocolSpec::PushPull => bare_run(PushPullDriver::new(max_rounds), &mut sim),
+                ProtocolSpec::FastGossiping => {
+                    bare_run(FastGossipingDriver::new(FastGossiping::paper(n), n), &mut sim)
+                }
+                ProtocolSpec::Memory => {
+                    bare_run(MemoryDriver::new(MemoryGossip::paper(n)), &mut sim)
+                }
+                ProtocolSpec::LeaderElection => {
+                    bare_run(LeaderElectionDriver::paper(n), &mut sim)
+                }
+                broadcast => {
+                    let mode = if broadcast == ProtocolSpec::BroadcastPush {
+                        BroadcastMode::Push
+                    } else {
+                        BroadcastMode::PushPull
+                    };
+                    let mut sim = Simulation::new_streaming(&graph, run_seed, 1);
+                    sim.schedule_injection(0, 0, 0);
+                    bare_run(BroadcastDriver::new(mode, max_rounds), &mut sim)
+                }
+            };
 
-            prop_assert_eq!(stepped.rounds, block.rounds());
-            prop_assert_eq!(stepped.total_packets, block.total_packets());
-            prop_assert_eq!(stepped.total_exchanges, block.total_exchanges());
-            prop_assert_eq!(stepped.completed, block.completed());
+            prop_assert_eq!(stepped.rounds, bare.rounds);
+            prop_assert_eq!(stepped.total_packets, bare.packets);
+            prop_assert_eq!(stepped.total_exchanges, bare.exchanges);
+            prop_assert_eq!(stepped.completed, bare.succeeded);
+            prop_assert_eq!(stepped.election, bare.election);
         }
     }
 }

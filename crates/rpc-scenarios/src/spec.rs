@@ -122,7 +122,6 @@
 
 use std::fmt;
 
-use rpc_gossip::{FastGossiping, MemoryGossip, PushPullGossip};
 use rpc_graphs::log2n;
 use rpc_graphs::prelude::*;
 
@@ -238,8 +237,8 @@ pub enum ProtocolSpec {
 }
 
 impl ProtocolSpec {
-    /// Report label, matching [`rpc_gossip::GossipAlgorithm::name`] for the
-    /// gossiping protocols and the driver name for the rest.
+    /// Report label: the name of the protocol's
+    /// [`rpc_gossip::ProtocolDriver`].
     pub fn name(&self) -> &'static str {
         match self {
             ProtocolSpec::PushPull => "push-pull",
@@ -267,33 +266,6 @@ impl ProtocolSpec {
     /// back to).
     pub fn is_broadcast(&self) -> bool {
         matches!(self, ProtocolSpec::BroadcastPush | ProtocolSpec::BroadcastPushPull)
-    }
-
-    /// Runs the algorithm with its paper constants for `n` nodes on any
-    /// [`rpc_engine::Engine`] — the block entry point the stepped-vs-block
-    /// equivalence suite compares the scenario executor against.
-    ///
-    /// # Panics
-    ///
-    /// For the broadcast and leader-election protocols, which have no block
-    /// [`rpc_gossip::GossipAlgorithm`] entry point — they exist only as
-    /// [`rpc_gossip::ProtocolDriver`]s and are always dispatched through the
-    /// scenario executor.
-    pub fn run_on_engine<E: rpc_engine::Engine>(
-        &self,
-        n: usize,
-        sim: &mut E,
-    ) -> rpc_gossip::GossipOutcome {
-        match self {
-            ProtocolSpec::PushPull => PushPullGossip::default().run_on_engine(sim),
-            ProtocolSpec::FastGossiping => FastGossiping::paper(n).run_on_engine(sim),
-            ProtocolSpec::Memory => MemoryGossip::paper(n).run_on_engine(sim),
-            other => panic!(
-                "{} has no block run_on_engine entry point; run it through \
-                 the scenario executor's driver dispatch",
-                other.name()
-            ),
-        }
     }
 }
 
