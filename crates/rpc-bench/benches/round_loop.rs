@@ -6,15 +6,15 @@
 //! a multi-rumor streaming row (16 staggered injections, message universe
 //! decoupled from `n`), plus the phase-based fast-gossiping and memory-model
 //! loops (whose absorb/ open-avoid/walk traffic exercises different engine
-//! primitives than plain push-pull). The tracked large-scale baseline
-//! (n up to 100 000) is
-//! produced by the `round_loop_baseline` binary and recorded in
-//! `BENCH_round_loop.json`.
+//! primitives than plain push-pull). Whole-workload timings with
+//! dispersion come from the repository benchmark, `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rpc_bench::round_loop::{build_topology, run_protocol, run_streaming, STREAM_RUMORS};
+use rpc_bench::round_loop::{
+    build_topology, run_protocol, run_streaming, STREAM_RUMORS, TOPOLOGIES,
+};
 use rpc_engine::{Engine, Simulation, UnpackedSimulation};
 
 const SEED: u64 = 0xC0FFEE;
@@ -23,7 +23,7 @@ fn bench_round_loop(c: &mut Criterion) {
     let n = 1 << 10;
     let mut group = c.benchmark_group("round_loop");
     group.sample_size(10);
-    for topology in ["er-dense", "er-sparse", "regular", "complete"] {
+    for topology in TOPOLOGIES {
         let graph = build_topology(topology, n, SEED);
         group.bench_with_input(BenchmarkId::new("packed", topology), &graph, |b, graph| {
             b.iter(|| {

@@ -15,9 +15,9 @@
 //!    so any protocol driven on both engines with the same graph and seed
 //!    must produce bit-identical traces. The `rpc-scenarios` property tests
 //!    assert this for randomized scenarios and the whole registry.
-//! 2. **Baseline** — the `rpc-bench` round-loop harness measures it next to
-//!    the packed engine, so `BENCH_round_loop.json` records how much the
-//!    word-parallel hot path actually buys on each topology.
+//! 2. **Baseline** — the `rpc-bench` `round_loop` criterion benches time it
+//!    next to the packed engine on every topology, so a regression in the
+//!    word-parallel hot path shows up against the same workload.
 //!
 //! It is deliberately sequential (no worker threads) and unoptimized; do not
 //! use it for large production runs.

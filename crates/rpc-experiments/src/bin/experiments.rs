@@ -58,7 +58,9 @@
 //!
 //! Results are printed as Markdown and, when `--out DIR` is given, written as
 //! one CSV file per experiment plus a JSON sweep report (same stem) carrying
-//! the per-cell CI aggregates.
+//! the per-cell CI aggregates. A CSV, JSON or `--cache` file that cannot be
+//! written ends the command with `error: failed to write <path>: <cause>`
+//! and a nonzero exit.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -112,7 +114,7 @@ fn run_table1(opts: &RunOpts) -> CmdResult {
 fn run_fig1(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n);
     let spec = fig1::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&fig1::table(&report), "fig1_overhead", Some(&report), opts)
 }
 
@@ -128,7 +130,7 @@ fn run_fig2(opts: &RunOpts) -> CmdResult {
         opts.scale.seed,
         opts.policy("loss_ratio"),
     );
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     let title = format!("Figure 2 — additional loss ratio, n = {n}");
     emit(&robustness::loss_ratio_table(&title, &report), "fig2_robustness", Some(&report), opts)
 }
@@ -145,7 +147,7 @@ fn run_fig3(opts: &RunOpts) -> CmdResult {
             opts.scale.seed,
             opts.policy("loss_ratio"),
         );
-        let report = opts.run_spec(&spec);
+        let report = opts.run_spec(&spec)?;
         let title = format!("Figure 3.{} — additional loss ratio, n = {n}", idx + 1);
         emit(
             &robustness::loss_ratio_table(&title, &report),
@@ -160,7 +162,7 @@ fn run_fig3(opts: &RunOpts) -> CmdResult {
 fn run_fig4(opts: &RunOpts) -> CmdResult {
     let sizes = dense_size_sweep(opts.scale.max_n / 8, opts.scale.max_n);
     let spec = fig4::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&fig4::table(&report), "fig4_fastgossip_detail", Some(&report), opts)
 }
 
@@ -178,7 +180,7 @@ fn run_fig5(opts: &RunOpts) -> CmdResult {
             opts.scale.seed,
             opts.policy_with_min(5, "lost_messages"),
         );
-        let report = opts.run_spec(&spec);
+        let report = opts.run_spec(&spec)?;
         let title = format!("Figure 5.{} — runs losing more than T messages, n = {n}", idx + 1);
         emit(
             &robustness::loss_thresholds_table(&title, &report),
@@ -193,14 +195,14 @@ fn run_fig5(opts: &RunOpts) -> CmdResult {
 fn run_theory(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n.min(1 << 14));
     let spec = theory_check::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&theory_check::table(&report), "theory_shape_check", Some(&report), opts)
 }
 
 fn run_separation(opts: &RunOpts) -> CmdResult {
     let sizes = size_sweep(opts.scale.min_n, opts.scale.max_n.min(1 << 14));
     let spec = separation::spec(&sizes, opts.scale.seed, opts.policy("packets_per_node"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&separation::table(&report), "separation_broadcast_vs_gossip", Some(&report), opts)
 }
 
@@ -213,14 +215,14 @@ fn run_ablation(opts: &RunOpts) -> CmdResult {
         opts.scale.seed,
         opts.policy("packets_per_node"),
     );
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&ablation::table(&report), "ablation_fast_gossiping", Some(&report), opts)
 }
 
 fn run_phases(opts: &RunOpts) -> CmdResult {
     let n = (opts.scale.max_n / 4).max(1024);
     let spec = phases::spec(n, opts.scale.seed, opts.policy("packets_per_node"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&phases::table(&report), "phase_breakdown", Some(&report), opts)
 }
 
@@ -234,7 +236,7 @@ fn run_scenarios(opts: &RunOpts) -> CmdResult {
     // exercise real sizes.
     let n = (opts.scale.max_n / 4).max(256);
     let spec = scenario::spec(n, opts.scale.seed, opts.policy("rounds"));
-    let report = opts.run_spec(&spec);
+    let report = opts.run_spec(&spec)?;
     emit(&scenario::table(&report), "scenarios", Some(&report), opts)
 }
 

@@ -10,7 +10,7 @@ use std::fs::OpenOptions;
 use std::io::BufWriter;
 use std::path::PathBuf;
 
-use rpc_obs::{ProgressReporter, TraceWriter};
+use rpc_obs::{NoopObserver, ProgressReporter, TraceWriter};
 use rpc_scenarios::{CiStopRule, RepPolicy, SweepReport, SweepRunner, SweepSpec};
 
 use crate::Scale;
@@ -154,16 +154,22 @@ impl RunOpts {
     /// The trace file is opened in append mode so the experiments of one
     /// invocation share a single stream; the CLI truncates it once at
     /// startup.
-    pub fn run_spec(&self, spec: &SweepSpec) -> SweepReport {
+    ///
+    /// # Errors
+    ///
+    /// `failed to write <path>: <os error>` when the `--cache` file cannot
+    /// be written.
+    pub fn run_spec(&self, spec: &SweepSpec) -> Result<SweepReport, String> {
         let runner = self.runner();
+        let untraced = || runner.run_with(spec, &mut NoopObserver).map_err(|e| e.to_string());
         let Some(path) = self.trace_path() else {
-            return runner.run(spec);
+            return untraced();
         };
         let file = match OpenOptions::new().create(true).append(true).open(&path) {
             Ok(file) => file,
             Err(e) => {
                 eprintln!("cannot open trace file {}: {e}; tracing disabled", path.display());
-                return runner.run(spec);
+                return untraced();
             }
         };
         let mut obs = (TraceWriter::new(BufWriter::new(file)), ProgressReporter::stderr());
@@ -171,7 +177,7 @@ impl RunOpts {
         if let Err(e) = obs.0.finish() {
             eprintln!("trace write to {} failed: {e}", path.display());
         }
-        report
+        report.map_err(|e| e.to_string())
     }
 }
 
@@ -227,7 +233,6 @@ mod tests {
         let ci = policy.ci.as_ref().unwrap();
         assert_eq!(ci.metric, "packets_per_node");
         assert_eq!(ci.tolerance, 0.05);
-        assert!(ci.relative);
     }
 
     #[test]

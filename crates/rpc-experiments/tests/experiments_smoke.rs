@@ -125,6 +125,28 @@ fn unwritable_out_dir_fails_the_command() {
 }
 
 #[test]
+fn unwritable_cache_fails_the_command_without_a_panic() {
+    // A `--cache` file below a regular file cannot be written: the sweep
+    // must report the failed write and exit nonzero, not panic.
+    let blocker = std::env::temp_dir()
+        .join(format!("experiments-smoke-cache-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "a regular file").expect("scratch file should be writable");
+    let cache = blocker.join("sub").join("cells.cache");
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig1", "--quick", "--cache"])
+        .arg(&cache)
+        .output()
+        .expect("experiments binary should spawn");
+    std::fs::remove_file(&blocker).ok();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a failed cache write must fail the command");
+    assert_ne!(output.status.code(), Some(101), "exit code 101 is a panic; stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let expected = format!("error: failed to write {}: ", cache.display());
+    assert!(stderr.contains(&expected), "stderr: {stderr}");
+}
+
+#[test]
 fn unknown_subcommand_fails_with_message() {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("no-such-figure")

@@ -597,7 +597,8 @@ fn run_driver<E: Engine, D: ProtocolDriver, O: Observer>(
             for (m, &(round, source)) in schedule.iter().enumerate() {
                 sim.schedule_injection(round, source, m as MessageId);
                 if let Some(ttl) = inj.ttl {
-                    sim.schedule_expiry(round + ttl, m as MessageId);
+                    // Saturating: an expiry past `u64::MAX` never fires.
+                    sim.schedule_expiry(round.saturating_add(ttl), m as MessageId);
                 }
             }
             // The coverage metric follows rumor 0 — the first id of the
@@ -934,12 +935,15 @@ fn schedule_environment<E: Engine>(scenario: &Scenario, env_rng: &mut SmallRng, 
                             (0..n as NodeId).filter(|&v| down_until[v as usize] <= wave).collect();
                         let take = count.min(eligible.len());
                         let nodes = sample_from_pool(eligible, take, env_rng);
+                        // Saturating ends: a rejoin past `u64::MAX` never
+                        // fires, and neither does a wave past it.
+                        let back = wave.saturating_add(churn.downtime);
                         for &v in &nodes {
-                            down_until[v as usize] = wave + churn.downtime;
+                            down_until[v as usize] = back;
                         }
                         sim.schedule_kill(wave, nodes.clone());
-                        sim.schedule_revive(wave + churn.downtime, nodes);
-                        wave += churn.period;
+                        sim.schedule_revive(back, nodes);
+                        wave = wave.saturating_add(churn.period);
                     }
                 }
             }
@@ -957,12 +961,13 @@ fn schedule_environment<E: Engine>(scenario: &Scenario, env_rng: &mut SmallRng, 
                         members.filter(|&v| down_until[v as usize] <= wave).collect();
                     let take = count.min(eligible.len());
                     let nodes = sample_from_pool(eligible, take, env_rng);
+                    let back = wave.saturating_add(churn.downtime);
                     for &v in &nodes {
-                        down_until[v as usize] = wave + churn.downtime;
+                        down_until[v as usize] = back;
                     }
                     sim.schedule_kill(wave, nodes.clone());
-                    sim.schedule_revive(wave + churn.downtime, nodes);
-                    wave += churn.period;
+                    sim.schedule_revive(back, nodes);
+                    wave = wave.saturating_add(churn.period);
                 }
             }
         }
@@ -997,7 +1002,7 @@ fn schedule_environment<E: Engine>(scenario: &Scenario, env_rng: &mut SmallRng, 
                     slots.push(b);
                 }
                 sim.schedule_edge_outage(wave, slots);
-                wave += edge_churn.period;
+                wave = wave.saturating_add(edge_churn.period);
             }
         }
     }

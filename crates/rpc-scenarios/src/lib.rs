@@ -84,8 +84,8 @@ pub use spec::{
 pub use stats::{summarize, SummaryStats};
 pub use sweep::{
     arithmetic_failure_sweep, dense_size_sweep, failure_sweep, size_sweep, stop_index, AxisPoint,
-    CellResult, CiStopRule, GridBuilder, MetricSummary, RepPolicy, SpecCell, StoppedByCounts,
-    SweepReport, SweepRunner, SweepSpec, DEFAULT_Z,
+    CacheWriteError, CellResult, CiStopRule, GridBuilder, MetricSummary, RepPolicy, SpecCell,
+    StoppedByCounts, SweepReport, SweepRunner, SweepSpec, DEFAULT_Z,
 };
 
 /// Commonly used items, re-exported for convenient glob import.

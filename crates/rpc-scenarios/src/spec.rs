@@ -1094,7 +1094,8 @@ impl ScenarioBuilder {
                         .into(),
                 ));
             }
-            if n * degree % 2 != 0 {
+            // Parity without the product, which overflows for large values.
+            if n % 2 == 1 && degree % 2 == 1 {
                 return Err(ScenarioError::Invalid(format!(
                     "random-regular requires even n * degree, got {n} * {degree}"
                 )));

@@ -107,38 +107,21 @@ pub fn arithmetic_failure_sweep(step: usize, max_f: usize) -> Vec<usize> {
 // ---------------------------------------------------------------------------
 
 /// The confidence-interval stop rule of an adaptive sweep: stop a cell once
-/// the two-sided CI half-width of `metric`'s mean, `z·sd/√k`, is within the
-/// tolerance.
+/// the 95% two-sided CI half-width of `metric`'s mean, `z·sd/√k` with
+/// `z =` [`DEFAULT_Z`], is within `tolerance · |mean|`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CiStopRule {
     /// The target statistic (a metric name produced by every repetition of
     /// every cell, e.g. `packets_per_node`).
     pub metric: String,
-    /// Normal quantile scaling the half-width (1.96 ≈ 95%).
-    pub z: f64,
-    /// Tolerance on the half-width. Interpreted relative to `|mean|` when
-    /// [`Self::relative`], absolute otherwise.
+    /// Tolerance on the half-width, as a fraction of the running `|mean|`.
     pub tolerance: f64,
-    /// Whether [`Self::tolerance`] is a fraction of the running `|mean|`
-    /// rather than an absolute width.
-    pub relative: bool,
 }
 
 impl CiStopRule {
     /// Stop once the 95% half-width is within `tolerance · |mean|`.
     pub fn relative(metric: impl Into<String>, tolerance: f64) -> Self {
-        Self { metric: metric.into(), z: DEFAULT_Z, tolerance, relative: true }
-    }
-
-    /// Stop once the 95% half-width is within the absolute `tolerance`.
-    pub fn absolute(metric: impl Into<String>, tolerance: f64) -> Self {
-        Self { metric: metric.into(), z: DEFAULT_Z, tolerance, relative: false }
-    }
-
-    /// Overrides the normal quantile (default [`DEFAULT_Z`]).
-    pub fn with_z(mut self, z: f64) -> Self {
-        self.z = z;
-        self
+        Self { metric: metric.into(), tolerance }
     }
 }
 
@@ -169,20 +152,15 @@ impl RepPolicy {
         Self { min_reps, max_reps: max_reps.max(min_reps), ci: Some(ci) }
     }
 
-    /// The normal quantile used for reported CI half-widths ([`DEFAULT_Z`]
-    /// when no adaptive rule is set).
-    pub fn ci_z(&self) -> f64 {
-        self.ci.as_ref().map_or(DEFAULT_Z, |ci| ci.z)
-    }
-
     /// Everything about the policy that affects a cell's aggregated numbers,
-    /// rendered for cache fingerprinting.
+    /// rendered for cache fingerprinting. The fixed `z=` and `relative=`
+    /// fields keep the text, and so every cached fingerprint, unchanged.
     fn fingerprint_text(&self) -> String {
         match &self.ci {
             None => format!("fixed min={} max={}", self.min_reps, self.max_reps),
             Some(ci) => format!(
-                "adaptive min={} max={} metric={} z={} tol={} relative={}",
-                self.min_reps, self.max_reps, ci.metric, ci.z, ci.tolerance, ci.relative
+                "adaptive min={} max={} metric={} z={DEFAULT_Z} tol={} relative=true",
+                self.min_reps, self.max_reps, ci.metric, ci.tolerance
             ),
         }
     }
@@ -222,9 +200,8 @@ pub fn stop_index(values: &[f64], policy: &RepPolicy) -> Option<(usize, bool)> {
         m2 += delta * (v - mean);
         if k >= lo {
             let sd = (m2 / (k - 1) as f64).sqrt();
-            let half = ci.z * sd / (k as f64).sqrt();
-            let tolerance = if ci.relative { ci.tolerance * mean.abs() } else { ci.tolerance };
-            if half <= tolerance {
+            let half = DEFAULT_Z * sd / (k as f64).sqrt();
+            if half <= ci.tolerance * mean.abs() {
                 return Some((k, false));
             }
         }
@@ -469,7 +446,7 @@ pub struct MetricSummary {
     pub stats: SummaryStats,
     /// Sample standard deviation (`k-1` denominator; 0 below two samples).
     pub sd: f64,
-    /// CI half-width of the mean, `z·sd/√k`, at the report's `z`.
+    /// CI half-width of the mean, `z·sd/√k` with `z =` [`DEFAULT_Z`].
     pub ci_half: f64,
 }
 
@@ -516,8 +493,6 @@ impl CellResult {
 pub struct SweepReport {
     /// The spec's name.
     pub spec_name: String,
-    /// The normal quantile behind every `ci_half` column.
-    pub ci_z: f64,
     /// Per-cell results, in spec order.
     pub cells: Vec<CellResult>,
     /// Simulations actually executed by this run — includes surplus
@@ -555,9 +530,8 @@ impl SweepReport {
         let mut out = String::from("{");
         write!(
             out,
-            "\"spec\":{},\"ci_z\":{},\"executed_reps\":{},\"cached_cells\":{},\"cells\":[",
+            "\"spec\":{},\"ci_z\":{DEFAULT_Z},\"executed_reps\":{},\"cached_cells\":{},\"cells\":[",
             json_string(&self.spec_name),
-            self.ci_z,
             self.executed_reps,
             self.cached_cells
         )
@@ -644,11 +618,11 @@ fn sample_sd(values: &[f64]) -> f64 {
     (ss / (values.len() - 1) as f64).sqrt()
 }
 
-fn ci_half_width(z: f64, sd: f64, reps: usize) -> f64 {
+fn ci_half_width(sd: f64, reps: usize) -> f64 {
     if reps == 0 {
         0.0
     } else {
-        z * sd / (reps as f64).sqrt()
+        DEFAULT_Z * sd / (reps as f64).sqrt()
     }
 }
 
@@ -669,7 +643,7 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    fn to_result(&self, cell: &SpecCell, z: f64) -> CellResult {
+    fn to_result(&self, cell: &SpecCell) -> CellResult {
         CellResult {
             key: cell.key.clone(),
             axes: cell.axes.clone(),
@@ -683,7 +657,7 @@ impl CacheEntry {
                     name: name.clone(),
                     stats: *stats,
                     sd: *sd,
-                    ci_half: ci_half_width(z, *sd, self.reps),
+                    ci_half: ci_half_width(*sd, self.reps),
                 })
                 .collect(),
             from_cache: true,
@@ -923,9 +897,10 @@ impl SweepRunner {
     /// # Panics
     ///
     /// When an adaptive policy targets a metric some cell never produces, or
-    /// when the cache file cannot be written.
+    /// when the cache file cannot be written. [`SweepRunner::run_with`]
+    /// returns a failed cache write as a [`CacheWriteError`] instead.
     pub fn run(&self, spec: &SweepSpec) -> SweepReport {
-        self.run_with(spec, &mut NoopObserver)
+        self.run_with(spec, &mut NoopObserver).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`SweepRunner::run`] with an attached [`Observer`] receiving the
@@ -938,9 +913,22 @@ impl SweepRunner {
     /// observer is enabled), so the report is bit-identical to [`run`]'s —
     /// wall-clock never feeds back into any seeded path.
     ///
+    /// # Errors
+    ///
+    /// When the cell cache cannot be written. The finished cells are then
+    /// discarded: a caller that asked for a resume file must not succeed
+    /// without one.
+    ///
+    /// # Panics
+    ///
+    /// When an adaptive policy targets a metric some cell never produces.
+    ///
     /// [`run`]: SweepRunner::run
-    pub fn run_with<O: Observer>(&self, spec: &SweepSpec, obs: &mut O) -> SweepReport {
-        let z = spec.policy.ci_z();
+    pub fn run_with<O: Observer>(
+        &self,
+        spec: &SweepSpec,
+        obs: &mut O,
+    ) -> Result<SweepReport, CacheWriteError> {
         let mut cache = self.cache_path.as_deref().map(CellCache::load).unwrap_or_default();
 
         if O::ENABLED {
@@ -960,7 +948,7 @@ impl SweepRunner {
                 .entries
                 .get(&cell.key)
                 .filter(|e| e.fingerprint == cell_fingerprint(spec, cell))
-                .map(|e| e.to_result(cell, z));
+                .map(|e| e.to_result(cell));
             match served {
                 Some(result) => {
                     if O::ENABLED {
@@ -1066,7 +1054,7 @@ impl SweepRunner {
                                 cached: false,
                             });
                         }
-                        results[*idx] = Some(finalize(cell, samples, budget_exhausted, z));
+                        results[*idx] = Some(finalize(cell, samples, budget_exhausted));
                         false
                     }
                     None => {
@@ -1100,7 +1088,7 @@ impl SweepRunner {
                     },
                 );
             }
-            cache.save(path).unwrap_or_else(|e| panic!("cannot write cell cache {path:?}: {e}"));
+            cache.save(path).map_err(|source| CacheWriteError { path: path.clone(), source })?;
         }
 
         if O::ENABLED {
@@ -1112,12 +1100,33 @@ impl SweepRunner {
             });
         }
 
-        SweepReport { spec_name: spec.name.clone(), ci_z: z, cells, executed_reps, cached_cells }
+        Ok(SweepReport { spec_name: spec.name.clone(), cells, executed_reps, cached_cells })
+    }
+}
+
+/// The cell cache of a [`SweepRunner::with_cache`] run could not be written.
+#[derive(Debug)]
+pub struct CacheWriteError {
+    /// The cache file.
+    pub path: PathBuf,
+    /// Why the write (or the rename over the old file) failed.
+    pub source: std::io::Error,
+}
+
+impl std::fmt::Display for CacheWriteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "failed to write {}: {}", self.path.display(), self.source)
+    }
+}
+
+impl std::error::Error for CacheWriteError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
     }
 }
 
 /// Aggregates one cell's (already truncated) samples.
-fn finalize(cell: &SpecCell, samples: &[RepOutcome], budget_exhausted: bool, z: f64) -> CellResult {
+fn finalize(cell: &SpecCell, samples: &[RepOutcome], budget_exhausted: bool) -> CellResult {
     let mut stopped = StoppedByCounts::default();
     for sample in samples {
         stopped.record(sample.stopped_by);
@@ -1139,7 +1148,7 @@ fn finalize(cell: &SpecCell, samples: &[RepOutcome], budget_exhausted: bool, z: 
                 name: name.to_string(),
                 stats: summarize(&values),
                 sd,
-                ci_half: ci_half_width(z, sd, values.len()),
+                ci_half: ci_half_width(sd, values.len()),
             }
         })
         .collect();
@@ -1204,8 +1213,10 @@ mod tests {
         // Samples [0, 4, 2, 2]: prefix half-widths at z = 1.96 are
         // k=2: sd = 2·√2, half ≈ 3.92;  k=3: sd = 2, half ≈ 2.26;
         // k=4: sd = √(8/3), half = 1.96·√(8/3)/2 ≈ 1.60.
+        // Every one of those prefixes has mean exactly 2, so a relative
+        // tolerance of tol/2 is an absolute width of tol there.
         let values = [0.0, 4.0, 2.0, 2.0, 9.0, 9.0];
-        let policy = |tol: f64| RepPolicy::adaptive(2, 6, CiStopRule::absolute("m", tol));
+        let policy = |tol: f64| RepPolicy::adaptive(2, 6, CiStopRule::relative("m", tol / 2.0));
         assert_eq!(stop_index(&values, &policy(4.0)), Some((2, false)));
         assert_eq!(stop_index(&values, &policy(2.3)), Some((3, false)));
         assert_eq!(stop_index(&values, &policy(1.7)), Some((4, false)));
@@ -1221,7 +1232,8 @@ mod tests {
     fn ci_decision_is_prefix_stable() {
         // Appending samples never changes an already-made decision.
         let values = [5.0, 5.0, 1.0, 9.0, 2.0, 8.0];
-        let policy = RepPolicy::adaptive(2, 64, CiStopRule::absolute("m", 0.5));
+        // Relative 0.1 of the constant prefix's mean 5: a width of 0.5.
+        let policy = RepPolicy::adaptive(2, 64, CiStopRule::relative("m", 0.1));
         let early = stop_index(&values[..2], &policy);
         assert_eq!(early, Some((2, false)), "constant prefix has zero width");
         for len in 3..=values.len() {

@@ -1,4 +1,4 @@
-//! Arena-reuse equivalence suite (ISSUE 5).
+//! Arena-reuse equivalence suite.
 //!
 //! The Monte Carlo hot path runs every repetition through a per-worker
 //! [`ScenarioArena`] — reused graph buffers, reused simulation storage,
@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use rpc_engine::derive_seed;
 use rpc_obs::NoopObserver;
 use rpc_scenarios::prelude::*;
 use rpc_scenarios::registry;
@@ -48,10 +49,40 @@ fn assert_arena_equals_fresh(
 fn every_registry_scenario_agrees_through_one_shared_arena() {
     // One arena across the whole registry: scenario sizes, topologies and
     // protocols all change under it, which is exactly a sweep worker's
-    // usage pattern.
-    let mut arena = ScenarioArena::default();
-    for scenario in registry::builtin(96) {
-        assert_arena_equals_fresh(&mut arena, &scenario, 7, 1);
+    // usage pattern. Each (n, seed) input gets its own arena.
+    for (n, seed) in [(96, 7), (64, 3), (64, 0xBA7C4)] {
+        let mut arena = ScenarioArena::default();
+        for scenario in registry::builtin(n) {
+            assert_arena_equals_fresh(&mut arena, &scenario, seed, 1);
+        }
+    }
+}
+
+#[test]
+fn short_horizon_complete_graph_cells_agree_on_every_repetition() {
+    // The Monte Carlo cell where per-repetition setup dominates: K_n at
+    // n = 1000 for four rounds, once per gossiping protocol. Each cell gets
+    // one arena, warmed by one run as a sweep worker's first cell warms it,
+    // then serves 30 seeded repetitions that must each equal a fresh run.
+    const BASE: u64 = 0xBA7C4;
+    for protocol in [ProtocolSpec::PushPull, ProtocolSpec::FastGossiping, ProtocolSpec::Memory] {
+        let scenario = Scenario::builder(
+            format!("batch-{}", protocol.name()),
+            TopologySpec::Complete { n: 1000 },
+        )
+        .protocol(protocol)
+        .stop(StopRule::Rounds(4))
+        .build()
+        .unwrap();
+        let mut arena = ScenarioArena::default();
+        let mut run_in =
+            |seed| run_scenario_observed_in(&mut arena, &scenario, seed, 1, &mut NoopObserver);
+        run_in(derive_seed(BASE, u64::MAX, 0));
+        for rep in 0..30 {
+            let seed = derive_seed(BASE, 1, rep);
+            let fresh = run_scenario(&scenario, seed, 1);
+            assert_eq!(fresh, run_in(seed), "{} rep {rep}", scenario.name);
+        }
     }
 }
 
