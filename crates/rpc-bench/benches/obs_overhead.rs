@@ -9,13 +9,14 @@
 //!   machine code* as `plain`: `Observer::ENABLED == false` makes every
 //!   event construction dead code. CI enforces the ≤2% bound with the
 //!   `obs_overhead_gate` binary (criterion runs single-shot there);
-//! * `aggregator` — a real in-memory sink, measuring what attaching a cheap
-//!   observer actually costs (informational, not gated).
+//! * `trace`      — a [`ScenarioTrace`], the enabled observer the
+//!   differential suites and the node runtime attach, measuring what a
+//!   cheap real observer actually costs (informational, not gated).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rpc_obs::{Aggregator, NoopObserver, Observer};
+use rpc_obs::{NoopObserver, Observer};
 use rpc_scenarios::prelude::*;
 
 const SEED: u64 = 0xC0FFEE;
@@ -45,13 +46,13 @@ fn bench_obs_overhead(c: &mut Criterion) {
             |b, scenario| b.iter(|| black_box(observed(black_box(scenario), &mut NoopObserver))),
         );
         group.bench_with_input(
-            BenchmarkId::new("aggregator", protocol.name()),
+            BenchmarkId::new("trace", protocol.name()),
             &scenario,
             |b, scenario| {
                 b.iter(|| {
-                    let mut agg = Aggregator::new();
-                    let rounds = observed(black_box(scenario), &mut agg);
-                    black_box((rounds, agg.total_events()))
+                    let mut trace = ScenarioTrace::default();
+                    let rounds = observed(black_box(scenario), &mut trace);
+                    black_box((rounds, trace.rounds.len()))
                 })
             },
         );

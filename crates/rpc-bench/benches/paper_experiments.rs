@@ -22,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rpc_engine::{Simulation, Transfer};
+use rpc_engine::{Engine, Simulation, Transfer};
 use rpc_experiments::{fig1, robustness};
 use rpc_gossip::prelude::*;
 use rpc_graphs::prelude::*;

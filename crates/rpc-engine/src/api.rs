@@ -14,6 +14,10 @@
 //! Because both engines consume randomness identically, a protocol driven on
 //! both with the same graph and seed must produce bit-identical traces; the
 //! `rpc-scenarios` property tests assert exactly that.
+//!
+//! Both engines define these primitives only in their `Engine` impls (no
+//! inherent method shares a name), so callers bring the trait into scope:
+//! `use rpc_engine::Engine;` or `use rpc_engine::prelude::*;`.
 
 use rand::rngs::SmallRng;
 
@@ -194,139 +198,4 @@ pub trait Engine {
 
     /// The simulation's random source.
     fn rng_mut(&mut self) -> &mut SmallRng;
-}
-
-impl Engine for crate::sim::Simulation<'_> {
-    fn graph(&self) -> &Graph {
-        Self::graph(self)
-    }
-    fn num_nodes(&self) -> usize {
-        Self::num_nodes(self)
-    }
-    fn universe(&self) -> usize {
-        Self::universe(self)
-    }
-    fn open_channel(&mut self, v: NodeId) -> Option<NodeId> {
-        Self::open_channel(self, v)
-    }
-    fn open_channel_avoiding(&mut self, v: NodeId, avoid: &[NodeId]) -> Option<NodeId> {
-        Self::open_channel_avoiding(self, v, avoid)
-    }
-    fn deliver(&mut self, transfers: &[Transfer]) -> usize {
-        Self::deliver(self, transfers)
-    }
-    fn absorb(&mut self, v: NodeId, set: &MessageSet) -> usize {
-        Self::absorb(self, v, set)
-    }
-    fn state(&self, v: NodeId) -> &MessageSet {
-        Self::state(self, v)
-    }
-    fn knows(&self, v: NodeId, m: MessageId) -> bool {
-        Self::knows(self, v, m)
-    }
-    fn is_alive(&self, v: NodeId) -> bool {
-        Self::is_alive(self, v)
-    }
-    fn is_present(&self, v: NodeId) -> bool {
-        Self::is_present(self, v)
-    }
-    fn is_participating(&self, v: NodeId) -> bool {
-        Self::is_participating(self, v)
-    }
-    fn alive_count(&self) -> usize {
-        Self::alive_count(self)
-    }
-    fn present_count(&self) -> usize {
-        Self::present_count(self)
-    }
-    fn participating_count(&self) -> usize {
-        Self::participating_count(self)
-    }
-    fn participating_informed_count(&self) -> usize {
-        Self::participating_informed_count(self)
-    }
-    fn is_fully_informed(&self, v: NodeId) -> bool {
-        Self::is_fully_informed(self, v)
-    }
-    fn fully_informed_count(&self) -> usize {
-        Self::fully_informed_count(self)
-    }
-    fn gossip_complete(&self) -> bool {
-        Self::gossip_complete(self)
-    }
-    fn informed_count_of(&self, m: MessageId) -> usize {
-        Self::informed_count_of(self, m)
-    }
-    fn track_message(&mut self, m: MessageId) {
-        Self::track_message(self, m)
-    }
-    fn tracked_informed_count(&self) -> usize {
-        Self::tracked_informed_count(self)
-    }
-    fn inject_rumor(&mut self, source: NodeId, m: MessageId) -> bool {
-        Self::inject_rumor(self, source, m)
-    }
-    fn expire_rumor(&mut self, m: MessageId) {
-        Self::expire_rumor(self, m)
-    }
-    fn schedule_injection(&mut self, round: u64, source: NodeId, m: MessageId) {
-        Self::schedule_injection(self, round, source, m)
-    }
-    fn schedule_expiry(&mut self, round: u64, m: MessageId) {
-        Self::schedule_expiry(self, round, m)
-    }
-    fn rumor_informed_count(&self, m: MessageId) -> usize {
-        Self::rumor_informed_count(self, m)
-    }
-    fn rumor_injected(&self, m: MessageId) -> bool {
-        Self::rumor_injected(self, m)
-    }
-    fn rumor_expired(&self, m: MessageId) -> bool {
-        Self::rumor_expired(self, m)
-    }
-    fn fail_nodes(&mut self, nodes: &[NodeId]) {
-        Self::fail_nodes(self, nodes)
-    }
-    fn kill_nodes(&mut self, nodes: &[NodeId]) {
-        Self::kill_nodes(self, nodes)
-    }
-    fn revive_nodes(&mut self, nodes: &[NodeId]) {
-        Self::revive_nodes(self, nodes)
-    }
-    fn schedule_kill(&mut self, round: u64, nodes: Vec<NodeId>) {
-        Self::schedule_kill(self, round, nodes)
-    }
-    fn schedule_revive(&mut self, round: u64, nodes: Vec<NodeId>) {
-        Self::schedule_revive(self, round, nodes)
-    }
-    fn schedule_crash(&mut self, round: u64, nodes: Vec<NodeId>) {
-        Self::schedule_crash(self, round, nodes)
-    }
-    fn schedule_edge_outage(&mut self, round: u64, slots: Vec<NodeId>) {
-        Self::schedule_edge_outage(self, round, slots)
-    }
-    fn apply_due_events(&mut self) {
-        Self::apply_due_events(self)
-    }
-    fn set_byzantine(&mut self, nodes: &[NodeId]) {
-        Self::set_byzantine(self, nodes)
-    }
-    fn is_byzantine(&self, v: NodeId) -> bool {
-        Self::is_byzantine(self, v)
-    }
-    fn byzantine_count(&self) -> usize {
-        Self::byzantine_count(self)
-    }
-    fn set_loss_probability(&mut self, p: f64) {
-        Self::set_loss_probability(self, p)
-    }
-    fn metrics(&self) -> &Metrics {
-        Self::metrics(self)
-    }
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        Self::metrics_mut(self)
-    }
-    fn rng_mut(&mut self) -> &mut SmallRng {
-        Self::rng_mut(self)
-    }
 }

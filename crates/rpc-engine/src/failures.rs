@@ -40,51 +40,6 @@ pub fn sample_from_pool<R: Rng + ?Sized>(
     pool
 }
 
-/// When, relative to an algorithm's phases, the failures are injected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FailureTime {
-    /// No failures at all.
-    #[default]
-    Never,
-    /// Before the algorithm starts.
-    BeforeStart,
-    /// Between Phase I (tree construction) and Phase II (gathering) — the
-    /// point used by the paper's robustness experiments, chosen because it is
-    /// the worst case analysed in Theorem 3.
-    BetweenPhases,
-}
-
-/// A complete failure scenario: how many nodes fail and when.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct FailurePlan {
-    /// Number of uniformly random failing nodes.
-    pub count: usize,
-    /// Injection time.
-    pub time: FailureTime,
-}
-
-impl FailurePlan {
-    /// No failures.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// `count` random failures injected between Phase I and Phase II.
-    pub fn between_phases(count: usize) -> Self {
-        Self { count, time: FailureTime::BetweenPhases }
-    }
-
-    /// `count` random failures present from the start.
-    pub fn before_start(count: usize) -> Self {
-        Self { count, time: FailureTime::BeforeStart }
-    }
-
-    /// Whether this plan injects any failure.
-    pub fn is_active(&self) -> bool {
-        self.count > 0 && self.time != FailureTime::Never
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,13 +113,5 @@ mod tests {
         for &c in &counts {
             assert!((120..=280).contains(&c), "count {c} outside plausible range");
         }
-    }
-
-    #[test]
-    fn failure_plan_flags() {
-        assert!(!FailurePlan::none().is_active());
-        assert!(FailurePlan::between_phases(10).is_active());
-        assert!(!FailurePlan { count: 0, time: FailureTime::BeforeStart }.is_active());
-        assert!(FailurePlan::before_start(1).is_active());
     }
 }

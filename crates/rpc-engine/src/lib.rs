@@ -26,8 +26,8 @@
 //!   Phase II);
 //! * [`memory`] — the constant-size contact lists of the memory model
 //!   (Section 4);
-//! * [`failures`] — uniform node-failure sampling and injection plans
-//!   (Theorem 3 / Figures 2, 3, 5);
+//! * [`failures`] — uniform node-failure sampling (Theorem 3 / Figures 2,
+//!   3, 5);
 //! * [`parallel`] — crossbeam-based parallel computation of sparse per-step
 //!   message deltas (bit-identical to the sequential path);
 //! * [`seeding`] — SplitMix64 seed derivation shared by every replication
@@ -75,7 +75,7 @@ pub mod walks;
 
 pub use api::Engine;
 pub use bitset::BitSet;
-pub use failures::{sample_failures, sample_from_pool, FailurePlan, FailureTime};
+pub use failures::{sample_failures, sample_from_pool};
 pub use memory::{Contact, ContactLists, ContactMemory, MEMORY_SLOTS};
 pub use message::{MessageId, MessageSet};
 pub use metrics::{Accounting, Metrics, PhaseSnapshot};
@@ -84,19 +84,19 @@ pub use reference::UnpackedSimulation;
 // `rpc-obs` for plain diagnostics reads (`Metrics::core_rounds` etc.).
 pub use rpc_obs::{CoreRounds, DeliveryCore, DispatchRecord, PoolStats, ReuseStats};
 pub use seeding::{derive_seed, engine_rng, hash_key, splitmix64};
-pub use sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
+pub use sim::{Simulation, SimulationArena, Transfer};
 pub use walks::{Walk, WalkQueues};
 
 /// Commonly used items, re-exported for convenient glob import.
 pub mod prelude {
     pub use crate::api::Engine;
     pub use crate::bitset::BitSet;
-    pub use crate::failures::{sample_failures, sample_from_pool, FailurePlan, FailureTime};
+    pub use crate::failures::{sample_failures, sample_from_pool};
     pub use crate::memory::{Contact, ContactLists, ContactMemory};
     pub use crate::message::{MessageId, MessageSet};
     pub use crate::metrics::{Accounting, Metrics};
     pub use crate::reference::UnpackedSimulation;
     pub use crate::seeding::{derive_seed, engine_rng, hash_key, splitmix64};
-    pub use crate::sim::{DeliverySemantics, Simulation, SimulationArena, Transfer};
+    pub use crate::sim::{Simulation, SimulationArena, Transfer};
     pub use crate::walks::{Walk, WalkQueues};
 }

@@ -1,8 +1,8 @@
 //! Parallel, allocation-free computation of per-receiver state updates.
 //!
-//! The expensive part of a simulation step is combining message bitsets. With
-//! deferred delivery semantics every receiver's new state depends only on the
-//! senders' begin-of-step states, so all updates can be computed independently
+//! The expensive part of a simulation step is combining message bitsets.
+//! Delivery is deferred — every receiver's new state depends only on the
+//! senders' begin-of-step states — so all updates can be computed independently
 //! from a shared immutable view of the states and committed afterwards.
 //!
 //! Three kernels cover the shape of a gossip run, picked per receiver from
@@ -35,7 +35,7 @@
 //! runs the ordered receivers are split into contiguous chunks, one per
 //! worker thread (crossbeam scoped threads); the result is identical for any
 //! thread count, and also identical to the eager sequential path in
-//! [`Simulation::deliver`](crate::Simulation::deliver), which interleaves
+//! [`Simulation::deliver`](crate::Engine::deliver), which interleaves
 //! these kernels with reader-gated commits.
 
 use rpc_graphs::NodeId;
@@ -74,7 +74,7 @@ pub struct ReceiverUpdate {
 }
 
 /// Reusable buffers for [`compute_updates`], handed back by
-/// [`Simulation::deliver`](crate::Simulation::deliver)'s commit loop.
+/// [`Simulation::deliver`](crate::Engine::deliver)'s commit loop.
 #[derive(Debug, Default)]
 pub struct UpdatePools {
     /// Full-width state buffers for [`UpdatePayload::Replace`].
@@ -239,7 +239,7 @@ pub(crate) fn cache_resident_table(rows: usize, state_words: usize) -> bool {
 
 /// Classifies one deferred batch onto a delivery core — the single source of
 /// truth for the adaptive dispatch in
-/// [`Simulation::deliver`](crate::Simulation::deliver) and for the unpacked
+/// [`Simulation::deliver`](crate::Engine::deliver) and for the unpacked
 /// oracle's mirrored diagnostics. `packets` is the batch size *after* loss,
 /// crash and fully-informed filtering.
 pub(crate) fn classify_dispatch(
@@ -347,7 +347,7 @@ fn compute_group_updates(
 /// [module docs](self). This is the shared core of the batch path above and
 /// the eager sequential path in [`Simulation::deliver`].
 ///
-/// [`Simulation::deliver`]: crate::Simulation::deliver
+/// [`Simulation::deliver`]: crate::Engine::deliver
 pub(crate) fn compute_one_update(
     states: &[MessageSet],
     group: &[Transfer],

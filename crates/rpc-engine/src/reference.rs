@@ -132,12 +132,6 @@ impl<'g> UnpackedSimulation<'g> {
         self.schedule[self.next_event..].sort_by_key(|e| e.round);
     }
 
-    /// Mirrors [`crate::Simulation::apply_due_events`]: applies due
-    /// scheduled events immediately, idempotently, and draw-free.
-    pub fn apply_due_events(&mut self) {
-        self.poll_events();
-    }
-
     fn poll_events(&mut self) {
         if self.next_event >= self.schedule.len() {
             return;
@@ -640,7 +634,7 @@ impl Engine for UnpackedSimulation<'_> {
     }
 
     fn apply_due_events(&mut self) {
-        Self::apply_due_events(self)
+        self.poll_events();
     }
 
     fn set_byzantine(&mut self, nodes: &[NodeId]) {

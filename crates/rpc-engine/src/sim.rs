@@ -17,7 +17,8 @@
 //!
 //! Delivery obeys the model's timing: all packets of a step are computed from
 //! the senders' states *at the beginning of the step* ("`m_v(t)` is the union
-//! of all messages received in steps `< t`"). See [`DeliverySemantics`].
+//! of all messages received in steps `< t`"), so a message travels at most
+//! one hop per step.
 //!
 //! ## The packed hot path
 //!
@@ -56,6 +57,7 @@ use rand::Rng;
 
 use rpc_graphs::{Graph, NodeId};
 
+use crate::api::Engine;
 use crate::bitset::{any_and2_not, count_and3, BitSet};
 use crate::message::{MessageId, MessageSet};
 use crate::metrics::Metrics;
@@ -64,21 +66,6 @@ use crate::parallel::{
     group_by_receiver, UpdatePayload, UpdatePools,
 };
 use crate::seeding::engine_rng;
-
-/// How packet deliveries within one synchronous step are applied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum DeliverySemantics {
-    /// Faithful to the model: every packet of the step carries the sender's
-    /// combined message as it was at the *beginning* of the step; messages
-    /// received in step `t` become usable in step `t + 1`. (Default.)
-    #[default]
-    Deferred,
-    /// Packets are applied one by one in submission order, so a message can
-    /// traverse several hops within a single step. Cheaper (no staging
-    /// buffers) and useful for quick exploration, but slightly optimistic
-    /// about round counts.
-    Immediate,
-}
 
 /// A single packet transfer: `from` sends its current combined message to `to`.
 ///
@@ -231,7 +218,6 @@ pub struct Simulation<'g> {
     tracked: Option<TrackedRumor>,
     metrics: Metrics,
     rng: SmallRng,
-    semantics: DeliverySemantics,
     threads: usize,
     /// Per-packet loss probability applied inside [`Simulation::deliver`].
     loss_probability: f64,
@@ -295,7 +281,6 @@ impl<'g> Simulation<'g> {
             tracked: None,
             metrics: Metrics::new(n),
             rng: engine_rng(seed),
-            semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
             schedule: Vec::new(),
@@ -345,7 +330,6 @@ impl<'g> Simulation<'g> {
             tracked: None,
             metrics: Metrics::new(n),
             rng: engine_rng(seed),
-            semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
             schedule: Vec::new(),
@@ -373,10 +357,10 @@ impl<'g> Simulation<'g> {
     ///
     /// Observable behaviour after `reset` is identical to
     /// `Simulation::new(graph, seed)`: same RNG stream, same start states,
-    /// empty event schedule, zeroed metrics. The configuration knobs keep
-    /// their builder-applied values (`threads`, delivery semantics) except
-    /// the loss probability, which resets to `0.0` — like the builders, it is
-    /// simply re-applicable per run via [`Self::set_loss_probability`].
+    /// empty event schedule, zeroed metrics. The thread count keeps its
+    /// builder-applied value; the loss probability resets to `0.0` — like
+    /// the builders, it is simply re-applicable per run via
+    /// [`Engine::set_loss_probability`].
     pub fn reset(&mut self, graph: &'g Graph, seed: u64) {
         self.reset_core(graph, seed, graph.num_nodes(), false);
     }
@@ -449,12 +433,6 @@ impl<'g> Simulation<'g> {
         self.edge_down_count = 0;
     }
 
-    /// Selects the delivery semantics (default [`DeliverySemantics::Deferred`]).
-    pub fn with_semantics(mut self, semantics: DeliverySemantics) -> Self {
-        self.semantics = semantics;
-        self
-    }
-
     /// Number of worker threads used to apply large delivery batches
     /// (default 1 = fully sequential). The result is identical regardless of
     /// the thread count; threads only speed up the bitset unions.
@@ -474,37 +452,9 @@ impl<'g> Simulation<'g> {
         self
     }
 
-    /// See [`Self::with_loss_probability`].
-    pub fn set_loss_probability(&mut self, p: f64) {
-        assert!(p.is_finite() && (0.0..1.0).contains(&p), "loss probability must lie in [0, 1)");
-        self.loss_probability = p;
-    }
-
     /// The configured per-packet loss probability.
     pub fn loss_probability(&self) -> f64 {
         self.loss_probability
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Size of the message universe the node states range over. Equal to
-    /// [`Self::num_nodes`] in the classic gossiping configuration, decoupled
-    /// from it on streaming simulations (see [`Self::new_streaming`]).
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Communication metrics collected so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Buffer-pool counters for this run (reset with the simulation).
@@ -514,299 +464,15 @@ impl<'g> Simulation<'g> {
         self.update_pools.stats
     }
 
-    /// Mutable access to the metrics (used by algorithms for exchange
-    /// accounting and phase markers).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    /// The simulation's random source. All randomness of a run flows through
-    /// this generator, so a run is fully determined by the graph and the seed.
-    pub fn rng_mut(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    /// Current combined message of node `v`.
-    pub fn state(&self, v: NodeId) -> &MessageSet {
-        &self.states[v as usize]
-    }
-
-    /// Whether node `v` knows original message `m`.
-    pub fn knows(&self, v: NodeId, m: MessageId) -> bool {
-        self.states[v as usize].contains(m)
-    }
-
     /// Number of original messages node `v` knows.
     pub fn num_known(&self, v: NodeId) -> usize {
         self.known[v as usize] as usize
     }
 
-    /// Whether node `v` knows the entire message universe.
-    pub fn is_fully_informed(&self, v: NodeId) -> bool {
-        self.known[v as usize] as usize == self.universe
-    }
-
-    /// Number of nodes (alive or failed) that know all original messages.
-    pub fn fully_informed_count(&self) -> usize {
-        self.fully_informed
-    }
-
-    /// Whether every *participating* (alive and present) node knows every
-    /// original message — the completion condition of the gossiping problem.
-    /// Crashed and churned-out nodes are exempt.
-    ///
-    /// Word-parallel: walks `(alive ∧ present) ∧ ¬full` in `n / 64` steps and
-    /// stops at the first word containing an uninformed participant.
-    pub fn gossip_complete(&self) -> bool {
-        !any_and2_not(&self.alive, &self.present, &self.full)
-    }
-
-    /// Number of nodes that know original message `m` (the paper's `|I_m(t)|`).
-    /// This is an `O(n)` scan intended for tests and phase diagnostics; for a
-    /// per-round coverage stop rule use [`Self::track_message`] and the O(1)
-    /// [`Self::tracked_informed_count`] instead.
-    pub fn informed_count_of(&self, m: MessageId) -> usize {
-        self.states.iter().filter(|s| s.contains(m)).count()
-    }
-
-    /// Starts tracking original message `m` ("the rumor"): from now on the
-    /// set of nodes knowing `m` is maintained incrementally alongside the
-    /// deliveries, so [`Self::tracked_informed_count`] is O(1) instead of an
-    /// O(n) scan per query. Tracking may be enabled at any point; the initial
-    /// knower set is computed once from the current states.
-    pub fn track_message(&mut self, m: MessageId) {
-        let n = self.num_nodes();
-        let universe = self.universe;
-        assert!((m as usize) < universe, "message id {m} outside universe {universe}");
-        let mut knowers = BitSet::new(n);
-        let mut count = 0usize;
-        for (v, state) in self.states.iter().enumerate() {
-            if state.contains(m) {
-                knowers.set(v);
-                count += 1;
-            }
-        }
-        self.tracked = Some(TrackedRumor { id: m, knowers, count });
-    }
-
-    /// The message id currently tracked via [`Self::track_message`], if any.
+    /// The message id currently tracked via [`Engine::track_message`], if
+    /// any.
     pub fn tracked_message(&self) -> Option<MessageId> {
         self.tracked.as_ref().map(|t| t.id)
-    }
-
-    /// Number of nodes that know the tracked rumor. O(1): the count is
-    /// maintained by the delivery paths. Panics if [`Self::track_message`]
-    /// was never called.
-    pub fn tracked_informed_count(&self) -> usize {
-        self.tracked.as_ref().expect("no tracked message; call track_message first").count
-    }
-
-    /// Injects rumor `m` at node `source` immediately: the rumor becomes
-    /// part of `source`'s combined message and spreads through the ordinary
-    /// delivery paths from the next packet on. Returns `true` if the node
-    /// newly learned the rumor. Injection into a crashed or departed node is
-    /// dropped (the arrival is recorded, nothing is stored), and a
-    /// TTL-expired rumor is never re-injected. Draws nothing from the RNG —
-    /// callers sample sources and timing from their own stream, which is
-    /// what keeps both engines in RNG lockstep.
-    pub fn inject_rumor(&mut self, source: NodeId, m: MessageId) -> bool {
-        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
-        if let Some(rs) = &mut self.rumors {
-            if rs.expired[m as usize] {
-                return false;
-            }
-            rs.injected[m as usize] = true;
-        }
-        if !self.alive.get(source as usize) || !self.present.get(source as usize) {
-            return false;
-        }
-        let newly = self.states[source as usize].insert(m);
-        if newly {
-            if let Some(rs) = &mut self.rumors {
-                rs.counts[m as usize] += 1;
-            }
-            self.bump_known(source, 1);
-            self.refresh_tracked(source);
-        }
-        newly
-    }
-
-    /// Expires rumor `m`: removes it from every node's combined message and
-    /// zeroes its informed count. An expired rumor can never reappear — the
-    /// removal is global, so no copy survives to spread, and subsequent
-    /// [`Self::inject_rumor`] calls for it are rejected. Nodes that were
-    /// fully informed lose that status permanently (the rumor no longer
-    /// exists to be re-learned).
-    pub fn expire_rumor(&mut self, m: MessageId) {
-        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
-        if let Some(rs) = &mut self.rumors {
-            if rs.expired[m as usize] {
-                return;
-            }
-            rs.expired[m as usize] = true;
-            rs.counts[m as usize] = 0;
-        }
-        let universe = self.universe;
-        for v in 0..self.states.len() {
-            if self.states[v].remove(m) {
-                if self.known[v] as usize == universe && self.full.clear_bit(v) {
-                    self.fully_informed -= 1;
-                }
-                self.known[v] -= 1;
-            }
-        }
-        if let Some(t) = &mut self.tracked {
-            if t.id == m {
-                t.knowers.reset_empty(self.states.len());
-                t.count = 0;
-            }
-        }
-    }
-
-    /// Number of nodes whose combined message contains rumor `m` — the
-    /// paper's `|I_m(t)|`, per rumor. O(1) on streaming simulations (the
-    /// delivery paths maintain the count incrementally); falls back to the
-    /// O(n) scan of [`Self::informed_count_of`] otherwise.
-    pub fn rumor_informed_count(&self, m: MessageId) -> usize {
-        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
-        match &self.rumors {
-            Some(rs) => rs.counts[m as usize] as usize,
-            None => self.informed_count_of(m),
-        }
-    }
-
-    /// Whether rumor `m` has been injected. In the classic configuration
-    /// every original message is present from round 0, so this is `true`.
-    pub fn rumor_injected(&self, m: MessageId) -> bool {
-        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
-        self.rumors.as_ref().map_or(true, |rs| rs.injected[m as usize])
-    }
-
-    /// Whether rumor `m` has expired (its TTL ran out).
-    pub fn rumor_expired(&self, m: MessageId) -> bool {
-        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
-        self.rumors.as_ref().is_some_and(|rs| rs.expired[m as usize])
-    }
-
-    /// Whether node `v` is alive (has not failed).
-    pub fn is_alive(&self, v: NodeId) -> bool {
-        self.alive.get(v as usize)
-    }
-
-    /// Number of alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    /// Marks the given nodes as failed. Failed nodes do not open channels, do
-    /// not transmit and do not store incoming messages (Section 5).
-    pub fn fail_nodes(&mut self, nodes: &[NodeId]) {
-        for &v in nodes {
-            if self.alive.clear_bit(v as usize) {
-                self.alive_count -= 1;
-            }
-        }
-    }
-
-    /// Whether node `v` is present (has not churned out of the network).
-    pub fn is_present(&self, v: NodeId) -> bool {
-        self.present.get(v as usize)
-    }
-
-    /// Number of present nodes.
-    pub fn present_count(&self) -> usize {
-        self.num_nodes() - self.departed_count
-    }
-
-    /// Whether node `v` currently participates in the protocol: it is alive
-    /// (not crashed) and present (not churned out).
-    pub fn is_participating(&self, v: NodeId) -> bool {
-        self.alive.get(v as usize) && self.present.get(v as usize)
-    }
-
-    /// Number of participating (alive and present) nodes — one popcount pass
-    /// over `alive ∧ present`.
-    pub fn participating_count(&self) -> usize {
-        self.alive.intersection_count(&self.present)
-    }
-
-    /// Number of participating nodes that are fully informed — one popcount
-    /// pass over `alive ∧ present ∧ full`.
-    pub fn participating_informed_count(&self) -> usize {
-        count_and3(&self.alive, &self.present, &self.full)
-    }
-
-    /// Churns the given nodes out of the network immediately. A departed node
-    /// opens no channels, neither sends nor receives any packet, and — unlike
-    /// a crashed node — is excluded from its neighbors' channel selection, as
-    /// if its edges were removed (the CSR adjacency itself stays immutable).
-    pub fn kill_nodes(&mut self, nodes: &[NodeId]) {
-        for &v in nodes {
-            if self.present.clear_bit(v as usize) {
-                self.departed_count += 1;
-            }
-        }
-    }
-
-    /// Brings previously departed nodes back into the network. A revived node
-    /// keeps the combined message it had when it left; reviving a node that
-    /// never departed is a no-op.
-    pub fn revive_nodes(&mut self, nodes: &[NodeId]) {
-        for &v in nodes {
-            if self.present.set(v as usize) {
-                self.departed_count -= 1;
-            }
-        }
-    }
-
-    /// Schedules the given nodes to churn out at the start of round `round`
-    /// (rounds are counted by [`Metrics::finish_round`], so round `r` is the
-    /// step executed after `r` completed rounds).
-    pub fn schedule_kill(&mut self, round: u64, nodes: Vec<NodeId>) {
-        self.push_event(LivenessEvent { round, kind: LivenessKind::Kill, nodes });
-    }
-
-    /// Schedules previously departed nodes to rejoin at the start of round
-    /// `round`.
-    pub fn schedule_revive(&mut self, round: u64, nodes: Vec<NodeId>) {
-        self.push_event(LivenessEvent { round, kind: LivenessKind::Revive, nodes });
-    }
-
-    /// Schedules the given nodes to crash (the paper's failure model: still
-    /// addressable, but neither transmitting nor storing) at the start of
-    /// round `round`.
-    pub fn schedule_crash(&mut self, round: u64, nodes: Vec<NodeId>) {
-        self.push_event(LivenessEvent { round, kind: LivenessKind::Crash, nodes });
-    }
-
-    /// Schedules an edge-churn wave at the start of round `round`: the given
-    /// CSR edge slots (see [`Graph::edge_slot_range`]) go down, replacing any
-    /// previously down set. Passing an empty slot list restores the full
-    /// topology.
-    pub fn schedule_edge_outage(&mut self, round: u64, slots: Vec<NodeId>) {
-        self.push_event(LivenessEvent { round, kind: LivenessKind::EdgeOutage, nodes: slots });
-    }
-
-    /// Schedules rumor `m` to be injected at node `source` at the start of
-    /// round `round` (see [`Self::inject_rumor`]). Events scheduled for the
-    /// same round apply in insertion order, so callers that schedule
-    /// environment events first keep them ahead of the injections.
-    pub fn schedule_injection(&mut self, round: u64, source: NodeId, m: MessageId) {
-        self.push_event(LivenessEvent {
-            round,
-            kind: LivenessKind::Inject { source, rumor: m },
-            nodes: Vec::new(),
-        });
-    }
-
-    /// Schedules rumor `m` to expire at the start of round `round`
-    /// (see [`Self::expire_rumor`]).
-    pub fn schedule_expiry(&mut self, round: u64, m: MessageId) {
-        self.push_event(LivenessEvent {
-            round,
-            kind: LivenessKind::Expire { rumor: m },
-            nodes: Vec::new(),
-        });
     }
 
     /// Takes the given CSR edge slots down immediately, replacing any
@@ -822,28 +488,6 @@ impl<'g> Simulation<'g> {
             }
         }
         self.edge_down_count = down;
-    }
-
-    /// Marks the given nodes Byzantine: they keep opening channels and
-    /// receiving normally, but silently drop every packet they should send —
-    /// a Byzantine sender never appears in the effective transfer stream and
-    /// its packet counter stays untouched.
-    pub fn set_byzantine(&mut self, nodes: &[NodeId]) {
-        for &v in nodes {
-            if self.byzantine.set(v as usize) {
-                self.byzantine_count += 1;
-            }
-        }
-    }
-
-    /// Whether node `v` is Byzantine (see [`Self::set_byzantine`]).
-    pub fn is_byzantine(&self, v: NodeId) -> bool {
-        self.byzantine.get(v as usize)
-    }
-
-    /// Number of Byzantine nodes.
-    pub fn byzantine_count(&self) -> usize {
-        self.byzantine_count
     }
 
     fn push_event(&mut self, event: LivenessEvent) {
@@ -881,103 +525,6 @@ impl<'g> Simulation<'g> {
         }
     }
 
-    /// Applies every scheduled liveness/injection event due at the current
-    /// round *now*, without waiting for the next engine primitive. The
-    /// lazy `poll_events` application runs from `open_channel` /
-    /// `deliver`, which is invisible to drivers that gate their per-node
-    /// work on liveness or informedness *before* touching a primitive
-    /// (e.g. a broadcast driver that only opens channels for informed
-    /// nodes). Such drivers call this once at the top of each step; it is
-    /// idempotent within a round and draws nothing from the RNG.
-    pub fn apply_due_events(&mut self) {
-        self.poll_events();
-    }
-
-    /// Opens a channel from `v` to a uniformly random neighbour and records
-    /// the channel opening. Returns `None` if `v` has failed, departed, or is
-    /// isolated. Departed neighbours are excluded from the selection; crashed
-    /// neighbours remain selectable (they silently drop what they receive),
-    /// matching the paper's failure semantics.
-    pub fn open_channel(&mut self, v: NodeId) -> Option<NodeId> {
-        self.poll_events();
-        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
-            return None;
-        }
-        let target = if self.edge_down_count > 0 {
-            let node_words = (self.departed_count > 0).then(|| self.present.words());
-            self.graph.random_neighbor_edge_masked(
-                v,
-                node_words,
-                self.edge_up.words(),
-                &mut self.rng,
-            )?
-        } else if self.departed_count == 0 {
-            self.graph.random_neighbor(v, &mut self.rng)?
-        } else {
-            self.graph.random_neighbor_masked(v, self.present.words(), &mut self.rng)?
-        };
-        self.metrics.record_channel_open(v);
-        Some(target)
-    }
-
-    /// Opens a channel from `v` to a uniformly random neighbour outside
-    /// `avoid` (the memory model's `open-avoid`). Returns `None` if `v` has
-    /// failed or departed, or every neighbour is excluded.
-    pub fn open_channel_avoiding(&mut self, v: NodeId, avoid: &[NodeId]) -> Option<NodeId> {
-        self.poll_events();
-        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
-            return None;
-        }
-        let target = if self.edge_down_count > 0 {
-            let node_words = (self.departed_count > 0).then(|| self.present.words());
-            self.graph.random_neighbor_edge_masked_avoiding(
-                v,
-                avoid,
-                node_words,
-                self.edge_up.words(),
-                &mut self.rng,
-            )?
-        } else if self.departed_count == 0 {
-            self.graph.random_neighbor_avoiding(v, avoid, &mut self.rng)?
-        } else {
-            self.graph.random_neighbor_masked_avoiding(
-                v,
-                avoid,
-                self.present.words(),
-                &mut self.rng,
-            )?
-        };
-        self.metrics.record_channel_open(v);
-        Some(target)
-    }
-
-    /// Merges `set` into node `v`'s combined message, returning how many
-    /// messages were new to `v`. No packet is recorded — callers account for
-    /// the transmission that carried `set` themselves (e.g. random walks).
-    /// Failed and departed nodes ignore the merge.
-    pub fn absorb(&mut self, v: NodeId, set: &MessageSet) -> usize {
-        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
-            return 0;
-        }
-        if self.rumors.is_some() {
-            // Snapshot the old words so the per-rumor counts can be updated
-            // from the diff after the union.
-            self.rumor_diff_scratch.clear();
-            self.rumor_diff_scratch.extend_from_slice(self.states[v as usize].words());
-        }
-        let added = self.states[v as usize].union_from(set);
-        if added > 0 {
-            if let Some(rs) = &mut self.rumors {
-                rs.count_gains(&self.rumor_diff_scratch, self.states[v as usize].words());
-            }
-        }
-        self.bump_known(v, added);
-        if added > 0 {
-            self.refresh_tracked(v);
-        }
-        added
-    }
-
     fn bump_known(&mut self, v: NodeId, added: usize) {
         if added == 0 {
             return;
@@ -997,31 +544,6 @@ impl<'g> Simulation<'g> {
                 tracked.knowers.set(v as usize);
                 tracked.count += 1;
             }
-        }
-    }
-
-    /// Applies one synchronous step's packet transfers.
-    ///
-    /// * Packets from failed senders are dropped (they "refuse to transmit").
-    /// * Packets to failed receivers are transmitted — and therefore counted —
-    ///   but not stored.
-    /// * Transfers from or to *departed* (churned-out) nodes are dropped
-    ///   entirely and never counted: the connection fails before a packet is
-    ///   put on the wire.
-    /// * With a non-zero loss probability, each surviving packet is dropped in
-    ///   transit with that probability (counted as sent, never stored).
-    /// * Every transmitted packet increments the sender's packet counter in
-    ///   the metrics. Channel-exchange accounting is the caller's
-    ///   responsibility because only the caller knows which node opened the
-    ///   channel.
-    ///
-    /// Returns the total number of (node, message) pairs that became known in
-    /// this step, which is `0` exactly when the step made no progress.
-    pub fn deliver(&mut self, transfers: &[Transfer]) -> usize {
-        self.poll_events();
-        match self.semantics {
-            DeliverySemantics::Deferred => self.deliver_deferred(transfers),
-            DeliverySemantics::Immediate => self.deliver_immediate(transfers),
         }
     }
 
@@ -1347,41 +869,388 @@ impl<'g> Simulation<'g> {
         }
         total_added
     }
+}
 
-    fn deliver_immediate(&mut self, transfers: &[Transfer]) -> usize {
-        let mut effective = std::mem::take(&mut self.transfer_scratch);
-        self.count_packets(transfers, &mut effective);
-        let mut total_added = 0usize;
-        for t in &effective {
-            if !self.alive.get(t.to as usize) {
-                continue;
-            }
-            let (from, to) = (t.from as usize, t.to as usize);
-            if self.rumors.is_some() {
-                self.rumor_diff_scratch.clear();
-                self.rumor_diff_scratch.extend_from_slice(self.states[to].words());
-            }
-            // Split the state slice so we can read `from` while writing `to`.
-            let added = if from < to {
-                let (left, right) = self.states.split_at_mut(to);
-                right[0].union_from(&left[from])
-            } else {
-                let (left, right) = self.states.split_at_mut(from);
-                left[to].union_from(&right[0])
-            };
-            if added > 0 {
-                if let Some(rs) = &mut self.rumors {
-                    rs.count_gains(&self.rumor_diff_scratch, self.states[to].words());
-                }
-            }
-            self.bump_known(t.to, added);
-            if added > 0 {
-                self.refresh_tracked(t.to);
-            }
-            total_added += added;
+impl Engine for Simulation<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.states.len()
+    }
+
+    fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// Records the channel opening. Returns `None` if `v` has failed,
+    /// departed, or is isolated. Departed neighbours are excluded from the
+    /// selection; crashed neighbours remain selectable (they silently drop
+    /// what they receive), matching the paper's failure semantics.
+    fn open_channel(&mut self, v: NodeId) -> Option<NodeId> {
+        self.poll_events();
+        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
+            return None;
         }
-        self.transfer_scratch = effective;
-        total_added
+        let target = if self.edge_down_count > 0 {
+            let node_words = (self.departed_count > 0).then(|| self.present.words());
+            self.graph.random_neighbor_edge_masked(
+                v,
+                node_words,
+                self.edge_up.words(),
+                &mut self.rng,
+            )?
+        } else if self.departed_count == 0 {
+            self.graph.random_neighbor(v, &mut self.rng)?
+        } else {
+            self.graph.random_neighbor_masked(v, self.present.words(), &mut self.rng)?
+        };
+        self.metrics.record_channel_open(v);
+        Some(target)
+    }
+
+    /// The memory model's `open-avoid`. Returns `None` if `v` has failed or
+    /// departed, or every neighbour is excluded.
+    fn open_channel_avoiding(&mut self, v: NodeId, avoid: &[NodeId]) -> Option<NodeId> {
+        self.poll_events();
+        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
+            return None;
+        }
+        let target = if self.edge_down_count > 0 {
+            let node_words = (self.departed_count > 0).then(|| self.present.words());
+            self.graph.random_neighbor_edge_masked_avoiding(
+                v,
+                avoid,
+                node_words,
+                self.edge_up.words(),
+                &mut self.rng,
+            )?
+        } else if self.departed_count == 0 {
+            self.graph.random_neighbor_avoiding(v, avoid, &mut self.rng)?
+        } else {
+            self.graph.random_neighbor_masked_avoiding(
+                v,
+                avoid,
+                self.present.words(),
+                &mut self.rng,
+            )?
+        };
+        self.metrics.record_channel_open(v);
+        Some(target)
+    }
+
+    /// Applies one synchronous step's packet transfers.
+    ///
+    /// * Packets from failed senders are dropped (they "refuse to transmit").
+    /// * Packets to failed receivers are transmitted — and therefore counted —
+    ///   but not stored.
+    /// * Transfers from or to *departed* (churned-out) nodes are dropped
+    ///   entirely and never counted: the connection fails before a packet is
+    ///   put on the wire.
+    /// * With a non-zero loss probability, each surviving packet is dropped in
+    ///   transit with that probability (counted as sent, never stored).
+    /// * Every transmitted packet increments the sender's packet counter in
+    ///   the metrics. Channel-exchange accounting is the caller's
+    ///   responsibility because only the caller knows which node opened the
+    ///   channel.
+    ///
+    /// Returns the total number of (node, message) pairs that became known in
+    /// this step, which is `0` exactly when the step made no progress.
+    fn deliver(&mut self, transfers: &[Transfer]) -> usize {
+        self.poll_events();
+        self.deliver_deferred(transfers)
+    }
+
+    /// No packet is recorded — callers account for the transmission that
+    /// carried `set` themselves (e.g. random walks). Failed and departed nodes
+    /// ignore the merge.
+    fn absorb(&mut self, v: NodeId, set: &MessageSet) -> usize {
+        if !self.alive.get(v as usize) || !self.present.get(v as usize) {
+            return 0;
+        }
+        if self.rumors.is_some() {
+            // Snapshot the old words so the per-rumor counts can be updated
+            // from the diff after the union.
+            self.rumor_diff_scratch.clear();
+            self.rumor_diff_scratch.extend_from_slice(self.states[v as usize].words());
+        }
+        let added = self.states[v as usize].union_from(set);
+        if added > 0 {
+            if let Some(rs) = &mut self.rumors {
+                rs.count_gains(&self.rumor_diff_scratch, self.states[v as usize].words());
+            }
+        }
+        self.bump_known(v, added);
+        if added > 0 {
+            self.refresh_tracked(v);
+        }
+        added
+    }
+
+    fn state(&self, v: NodeId) -> &MessageSet {
+        &self.states[v as usize]
+    }
+
+    fn knows(&self, v: NodeId, m: MessageId) -> bool {
+        self.states[v as usize].contains(m)
+    }
+
+    fn is_alive(&self, v: NodeId) -> bool {
+        self.alive.get(v as usize)
+    }
+
+    fn is_present(&self, v: NodeId) -> bool {
+        self.present.get(v as usize)
+    }
+
+    fn alive_count(&self) -> usize {
+        self.alive_count
+    }
+
+    fn present_count(&self) -> usize {
+        self.num_nodes() - self.departed_count
+    }
+
+    /// One popcount pass over `alive ∧ present`.
+    fn participating_count(&self) -> usize {
+        self.alive.intersection_count(&self.present)
+    }
+
+    /// One popcount pass over `alive ∧ present ∧ full`.
+    fn participating_informed_count(&self) -> usize {
+        count_and3(&self.alive, &self.present, &self.full)
+    }
+
+    fn is_fully_informed(&self, v: NodeId) -> bool {
+        self.known[v as usize] as usize == self.universe
+    }
+
+    fn fully_informed_count(&self) -> usize {
+        self.fully_informed
+    }
+
+    /// Crashed and churned-out nodes are exempt.
+    ///
+    /// Word-parallel: walks `(alive ∧ present) ∧ ¬full` in `n / 64` steps and
+    /// stops at the first word containing an uninformed participant.
+    fn gossip_complete(&self) -> bool {
+        !any_and2_not(&self.alive, &self.present, &self.full)
+    }
+
+    /// An `O(n)` scan intended for tests and phase diagnostics; a per-round
+    /// coverage stop rule uses [`Engine::track_message`] and the O(1)
+    /// [`Engine::tracked_informed_count`] instead.
+    fn informed_count_of(&self, m: MessageId) -> usize {
+        self.states.iter().filter(|s| s.contains(m)).count()
+    }
+
+    /// From now on the set of nodes knowing `m` is maintained incrementally
+    /// alongside the deliveries, so [`Engine::tracked_informed_count`] is
+    /// O(1) instead of an O(n) scan per query. Tracking may be enabled at any
+    /// point; the initial knower set is computed once from the current
+    /// states.
+    fn track_message(&mut self, m: MessageId) {
+        let n = self.num_nodes();
+        let universe = self.universe;
+        assert!((m as usize) < universe, "message id {m} outside universe {universe}");
+        let mut knowers = BitSet::new(n);
+        let mut count = 0usize;
+        for (v, state) in self.states.iter().enumerate() {
+            if state.contains(m) {
+                knowers.set(v);
+                count += 1;
+            }
+        }
+        self.tracked = Some(TrackedRumor { id: m, knowers, count });
+    }
+
+    /// O(1): the count is maintained by the delivery paths.
+    fn tracked_informed_count(&self) -> usize {
+        self.tracked.as_ref().expect("no tracked message; call track_message first").count
+    }
+
+    /// Injection into a crashed or departed node is dropped (the arrival is
+    /// recorded, nothing is stored).
+    fn inject_rumor(&mut self, source: NodeId, m: MessageId) -> bool {
+        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
+        if let Some(rs) = &mut self.rumors {
+            if rs.expired[m as usize] {
+                return false;
+            }
+            rs.injected[m as usize] = true;
+        }
+        if !self.alive.get(source as usize) || !self.present.get(source as usize) {
+            return false;
+        }
+        let newly = self.states[source as usize].insert(m);
+        if newly {
+            if let Some(rs) = &mut self.rumors {
+                rs.counts[m as usize] += 1;
+            }
+            self.bump_known(source, 1);
+            self.refresh_tracked(source);
+        }
+        newly
+    }
+
+    /// Zeroes the rumor's informed count. Nodes that were fully informed lose
+    /// that status permanently (the rumor no longer exists to be re-learned).
+    fn expire_rumor(&mut self, m: MessageId) {
+        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
+        if let Some(rs) = &mut self.rumors {
+            if rs.expired[m as usize] {
+                return;
+            }
+            rs.expired[m as usize] = true;
+            rs.counts[m as usize] = 0;
+        }
+        let universe = self.universe;
+        for v in 0..self.states.len() {
+            if self.states[v].remove(m) {
+                if self.known[v] as usize == universe && self.full.clear_bit(v) {
+                    self.fully_informed -= 1;
+                }
+                self.known[v] -= 1;
+            }
+        }
+        if let Some(t) = &mut self.tracked {
+            if t.id == m {
+                t.knowers.reset_empty(self.states.len());
+                t.count = 0;
+            }
+        }
+    }
+
+    /// Events scheduled for the same round apply in insertion order, so
+    /// callers that schedule environment events first keep them ahead of the
+    /// injections.
+    fn schedule_injection(&mut self, round: u64, source: NodeId, m: MessageId) {
+        self.push_event(LivenessEvent {
+            round,
+            kind: LivenessKind::Inject { source, rumor: m },
+            nodes: Vec::new(),
+        });
+    }
+
+    fn schedule_expiry(&mut self, round: u64, m: MessageId) {
+        self.push_event(LivenessEvent {
+            round,
+            kind: LivenessKind::Expire { rumor: m },
+            nodes: Vec::new(),
+        });
+    }
+
+    /// O(1) on streaming simulations (the delivery paths maintain the count
+    /// incrementally); falls back to the O(n) scan of
+    /// [`Engine::informed_count_of`] otherwise.
+    fn rumor_informed_count(&self, m: MessageId) -> usize {
+        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
+        match &self.rumors {
+            Some(rs) => rs.counts[m as usize] as usize,
+            None => self.informed_count_of(m),
+        }
+    }
+
+    fn rumor_injected(&self, m: MessageId) -> bool {
+        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
+        self.rumors.as_ref().map_or(true, |rs| rs.injected[m as usize])
+    }
+
+    fn rumor_expired(&self, m: MessageId) -> bool {
+        assert!((m as usize) < self.universe, "message id {m} outside universe {}", self.universe);
+        self.rumors.as_ref().is_some_and(|rs| rs.expired[m as usize])
+    }
+
+    /// Failed nodes do not open channels, do not transmit and do not store
+    /// incoming messages (Section 5).
+    fn fail_nodes(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            if self.alive.clear_bit(v as usize) {
+                self.alive_count -= 1;
+            }
+        }
+    }
+
+    /// A departed node opens no channels, neither sends nor receives any
+    /// packet, and — unlike a crashed node — is excluded from its neighbors'
+    /// channel selection, as if its edges were removed (the CSR adjacency
+    /// itself stays immutable).
+    fn kill_nodes(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            if self.present.clear_bit(v as usize) {
+                self.departed_count += 1;
+            }
+        }
+    }
+
+    /// A revived node keeps the combined message it had when it left; reviving
+    /// a node that never departed is a no-op.
+    fn revive_nodes(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            if self.present.set(v as usize) {
+                self.departed_count -= 1;
+            }
+        }
+    }
+
+    /// Rounds are counted by [`Metrics::finish_round`], so round `r` is the
+    /// step executed after `r` completed rounds.
+    fn schedule_kill(&mut self, round: u64, nodes: Vec<NodeId>) {
+        self.push_event(LivenessEvent { round, kind: LivenessKind::Kill, nodes });
+    }
+
+    fn schedule_revive(&mut self, round: u64, nodes: Vec<NodeId>) {
+        self.push_event(LivenessEvent { round, kind: LivenessKind::Revive, nodes });
+    }
+
+    fn schedule_crash(&mut self, round: u64, nodes: Vec<NodeId>) {
+        self.push_event(LivenessEvent { round, kind: LivenessKind::Crash, nodes });
+    }
+
+    /// The slots are CSR edge slots (see [`Graph::edge_slot_range`]); passing
+    /// an empty slot list restores the full topology.
+    fn schedule_edge_outage(&mut self, round: u64, slots: Vec<NodeId>) {
+        self.push_event(LivenessEvent { round, kind: LivenessKind::EdgeOutage, nodes: slots });
+    }
+
+    fn apply_due_events(&mut self) {
+        self.poll_events();
+    }
+
+    /// A Byzantine sender never appears in the effective transfer stream and
+    /// its packet counter stays untouched.
+    fn set_byzantine(&mut self, nodes: &[NodeId]) {
+        for &v in nodes {
+            if self.byzantine.set(v as usize) {
+                self.byzantine_count += 1;
+            }
+        }
+    }
+
+    fn is_byzantine(&self, v: NodeId) -> bool {
+        self.byzantine.get(v as usize)
+    }
+
+    fn byzantine_count(&self) -> usize {
+        self.byzantine_count
+    }
+
+    fn set_loss_probability(&mut self, p: f64) {
+        assert!(p.is_finite() && (0.0..1.0).contains(&p), "loss probability must lie in [0, 1)");
+        self.loss_probability = p;
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    fn rng_mut(&mut self) -> &mut SmallRng {
+        &mut self.rng
     }
 }
 
@@ -1463,7 +1332,7 @@ fn commit_payload(
 /// in steady state.
 ///
 /// ```
-/// use rpc_engine::{Simulation, SimulationArena};
+/// use rpc_engine::{Engine, SimulationArena};
 /// use rpc_graphs::prelude::*;
 ///
 /// let graph = CompleteGraph::new(16).generate(0);
@@ -1555,7 +1424,6 @@ impl SimulationArena {
             tracked: None,
             metrics: st.metrics,
             rng: engine_rng(seed),
-            semantics: DeliverySemantics::Deferred,
             threads: 1,
             loss_probability: 0.0,
             schedule: st.schedule,
@@ -1683,10 +1551,10 @@ mod tests {
 
     #[test]
     fn deferred_delivery_uses_begin_of_step_states() {
-        // Chain 0 -> 1 -> 2 submitted in one step: with deferred semantics
-        // node 2 must NOT yet learn message 0 (it only gets node 1's old state).
+        // Chain 0 -> 1 -> 2 submitted in one step: node 2 must NOT yet learn
+        // message 0 (it only gets node 1's begin-of-step state).
         let g = complete(3);
-        let mut sim = Simulation::new(&g, 3).with_semantics(DeliverySemantics::Deferred);
+        let mut sim = Simulation::new(&g, 3);
         sim.deliver(&[Transfer::new(0, 1), Transfer::new(1, 2)]);
         assert!(sim.knows(1, 0));
         assert!(sim.knows(2, 1));
@@ -1694,31 +1562,21 @@ mod tests {
     }
 
     #[test]
-    fn immediate_delivery_allows_in_step_chaining() {
-        let g = complete(3);
-        let mut sim = Simulation::new(&g, 3).with_semantics(DeliverySemantics::Immediate);
-        sim.deliver(&[Transfer::new(0, 1), Transfer::new(1, 2)]);
-        assert!(sim.knows(2, 0), "immediate semantics forwards within the step");
-    }
-
-    #[test]
-    fn deferred_and_immediate_agree_on_final_fixpoint() {
-        // Repeatedly exchanging along a path eventually informs everyone in
-        // both modes; only the round counts may differ.
+    fn repeated_exchange_along_a_path_reaches_the_fixpoint() {
+        // Exchanging along every edge of a 6-node path informs everyone
+        // within the path's diameter of steps; 20 steps leave ample slack.
         let g = path(6);
-        for semantics in [DeliverySemantics::Deferred, DeliverySemantics::Immediate] {
-            let mut sim = Simulation::new(&g, 9).with_semantics(semantics);
-            for _ in 0..20 {
-                let mut transfers = Vec::new();
-                for v in 0..6u32 {
-                    for &u in g.neighbors(v) {
-                        transfers.push(Transfer::new(v, u));
-                    }
+        let mut sim = Simulation::new(&g, 9);
+        for _ in 0..20 {
+            let mut transfers = Vec::new();
+            for v in 0..6u32 {
+                for &u in g.neighbors(v) {
+                    transfers.push(Transfer::new(v, u));
                 }
-                sim.deliver(&transfers);
             }
-            assert!(sim.gossip_complete(), "semantics {semantics:?} did not converge");
+            sim.deliver(&transfers);
         }
+        assert!(sim.gossip_complete(), "deferred delivery did not converge");
     }
 
     #[test]
@@ -2057,13 +1915,15 @@ mod tests {
     }
 
     #[test]
-    fn tracked_rumor_is_maintained_by_absorb_and_immediate_delivery() {
+    fn tracked_rumor_is_maintained_by_absorb_and_delivery() {
         let g = complete(5);
-        let mut sim = Simulation::new(&g, 14).with_semantics(DeliverySemantics::Immediate);
+        let mut sim = Simulation::new(&g, 14);
         sim.track_message(0);
         assert_eq!(sim.tracked_informed_count(), 1);
         sim.deliver(&[Transfer::new(0, 1), Transfer::new(1, 2)]);
-        assert_eq!(sim.tracked_informed_count(), 3, "immediate chaining spreads the rumor");
+        assert_eq!(sim.tracked_informed_count(), 2, "the rumor travels one hop per step");
+        sim.deliver(&[Transfer::new(1, 2)]);
+        assert_eq!(sim.tracked_informed_count(), 3);
         sim.absorb(4, &MessageSet::singleton(5, 0));
         assert_eq!(sim.tracked_informed_count(), 4);
         assert_eq!(sim.tracked_informed_count(), sim.informed_count_of(0));
@@ -2198,9 +2058,7 @@ mod tests {
         let g = ErdosRenyi::with_expected_degree(200, 10.0).generate(8);
         let mut seq = Simulation::new_streaming(&g, 9, 48);
         let mut par = Simulation::new_streaming(&g, 9, 48).with_threads(4);
-        let mut imm =
-            Simulation::new_streaming(&g, 9, 48).with_semantics(DeliverySemantics::Immediate);
-        for sim in [&mut seq, &mut par, &mut imm] {
+        for sim in [&mut seq, &mut par] {
             for m in 0..48u32 {
                 sim.inject_rumor((m * 4) % 200, m);
             }
@@ -2217,16 +2075,10 @@ mod tests {
             }
             seq.deliver(&transfers);
             par.deliver(&transfers);
-            imm.deliver(&transfers);
             for m in 0..48u32 {
                 let scan = seq.informed_count_of(m);
                 assert_eq!(seq.rumor_informed_count(m), scan, "seq diverged, rumor {m}");
                 assert_eq!(par.rumor_informed_count(m), scan, "par diverged, rumor {m}");
-                assert_eq!(
-                    imm.rumor_informed_count(m),
-                    imm.informed_count_of(m),
-                    "immediate-mode count diverged, rumor {m}"
-                );
             }
         }
         for v in g.nodes() {

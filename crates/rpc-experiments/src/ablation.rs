@@ -68,40 +68,4 @@ mod tests {
             (base.mean("packets_per_node").unwrap(), heavy.mean("packets_per_node").unwrap());
         assert!(h >= b * 0.75, "heavy {h:.2} vs base {b:.2}");
     }
-
-    #[test]
-    fn immediate_semantics_never_needs_more_rounds() {
-        // A comparison of the engine's two delivery semantics on the Push-Pull
-        // baseline — kept as a test-only oracle; the sweeps always use the
-        // faithful deferred timing.
-        use rpc_engine::{derive_seed, DeliverySemantics, Simulation};
-        use rpc_gossip::prelude::*;
-        use rpc_graphs::prelude::*;
-
-        let n = 512;
-        let generator = ErdosRenyi::paper_density(n);
-        let mut totals = (0.0f64, 0.0f64);
-        for i in 0..2u64 {
-            let seed = derive_seed(7, 0, i);
-            let graph = generator.generate(seed ^ (i << 32));
-            for (idx, semantics) in
-                [DeliverySemantics::Deferred, DeliverySemantics::Immediate].into_iter().enumerate()
-            {
-                let mut sim = Simulation::new(&graph, seed).with_semantics(semantics);
-                let steps = run_driver(&mut PushPullDriver::new(10_000), &mut sim);
-                if idx == 0 {
-                    totals.0 += steps as f64;
-                } else {
-                    totals.1 += steps as f64;
-                }
-            }
-        }
-        assert!(totals.0 > 0.0 && totals.1 > 0.0);
-        assert!(
-            totals.1 <= totals.0 + 1e-9,
-            "immediate ({}) should not be slower than deferred ({})",
-            totals.1,
-            totals.0
-        );
-    }
 }

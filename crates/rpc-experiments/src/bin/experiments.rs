@@ -58,8 +58,8 @@
 //!
 //! Results are printed as Markdown and, when `--out DIR` is given, written as
 //! one CSV file per experiment plus a JSON sweep report (same stem) carrying
-//! the per-cell CI aggregates. A CSV, JSON or `--cache` file that cannot be
-//! written ends the command with `error: failed to write <path>: <cause>`
+//! the per-cell CI aggregates. A CSV, JSON, `--cache` or trace file that cannot
+//! be written ends the command with `error: failed to write <path>: <cause>`
 //! and a nonzero exit.
 
 use std::io::Write as _;
@@ -288,18 +288,18 @@ fn run_profile(opts: &RunOpts) -> CmdResult {
 
 /// With tracing enabled, start every invocation from an empty trace file:
 /// the per-sweep writers append, so without this reruns would accumulate
-/// stale events and the `profile` table would double-count.
-fn truncate_trace(opts: &RunOpts) {
-    if let Some(path) = opts.trace_path() {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-            }
-        }
-        if let Err(e) = std::fs::File::create(&path) {
-            eprintln!("cannot truncate trace {}: {e}", path.display());
-        }
+/// stale events and the `profile` table would double-count. A trace file
+/// that cannot be created fails the command before any sweep runs.
+fn truncate_trace(opts: &RunOpts) -> CmdResult {
+    let Some(path) = opts.trace_path() else {
+        return Ok(());
+    };
+    let failed = |e: std::io::Error| format!("failed to write {}: {e}", path.display());
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent).map_err(failed)?;
     }
+    std::fs::File::create(&path).map_err(failed)?;
+    Ok(())
 }
 
 /// `experiments node [--state-path FILE]` — the deployable actor: serve one
@@ -424,7 +424,10 @@ fn main() -> ExitCode {
         }
     };
     if command != "profile" {
-        truncate_trace(&opts);
+        if let Err(e) = truncate_trace(&opts) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     let result = match command.as_str() {
         "table1" => run_table1(&opts),

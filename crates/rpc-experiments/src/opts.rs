@@ -157,27 +157,19 @@ impl RunOpts {
     ///
     /// # Errors
     ///
-    /// `failed to write <path>: <os error>` when the `--cache` file cannot
-    /// be written.
+    /// `failed to write <path>: <os error>` when the `--cache` file or the
+    /// trace file cannot be written.
     pub fn run_spec(&self, spec: &SweepSpec) -> Result<SweepReport, String> {
         let runner = self.runner();
-        let untraced = || runner.run_with(spec, &mut NoopObserver).map_err(|e| e.to_string());
         let Some(path) = self.trace_path() else {
-            return untraced();
+            return runner.run_with(spec, &mut NoopObserver).map_err(|e| e.to_string());
         };
-        let file = match OpenOptions::new().create(true).append(true).open(&path) {
-            Ok(file) => file,
-            Err(e) => {
-                eprintln!("cannot open trace file {}: {e}; tracing disabled", path.display());
-                return untraced();
-            }
-        };
+        let failed = |e: std::io::Error| format!("failed to write {}: {e}", path.display());
+        let file = OpenOptions::new().create(true).append(true).open(&path).map_err(failed)?;
         let mut obs = (TraceWriter::new(BufWriter::new(file)), ProgressReporter::stderr());
-        let report = runner.run_with(spec, &mut obs);
-        if let Err(e) = obs.0.finish() {
-            eprintln!("trace write to {} failed: {e}", path.display());
-        }
-        report.map_err(|e| e.to_string())
+        let report = runner.run_with(spec, &mut obs).map_err(|e| e.to_string())?;
+        obs.0.finish().map_err(failed)?;
+        Ok(report)
     }
 }
 

@@ -124,26 +124,37 @@ fn unwritable_out_dir_fails_the_command() {
     assert!(stderr.contains("table1_constants.csv"), "stderr: {stderr}");
 }
 
-#[test]
-fn unwritable_cache_fails_the_command_without_a_panic() {
-    // A `--cache` file below a regular file cannot be written: the sweep
-    // must report the failed write and exit nonzero, not panic.
+/// Runs `fig1 --quick <flag> <blocker>/sub/<file>` where `<blocker>` is a
+/// regular file, so the path cannot be written: the command must report the
+/// failed write and exit nonzero, not panic and not succeed without it.
+fn assert_unwritable_path_fails(flag: &str, file: &str) {
+    let label = flag.trim_start_matches('-');
     let blocker = std::env::temp_dir()
-        .join(format!("experiments-smoke-cache-blocker-{}", std::process::id()));
+        .join(format!("experiments-smoke-{label}-blocker-{}", std::process::id()));
     std::fs::write(&blocker, "a regular file").expect("scratch file should be writable");
-    let cache = blocker.join("sub").join("cells.cache");
+    let path = blocker.join("sub").join(file);
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["fig1", "--quick", "--cache"])
-        .arg(&cache)
+        .args(["fig1", "--quick", flag])
+        .arg(&path)
         .output()
         .expect("experiments binary should spawn");
     std::fs::remove_file(&blocker).ok();
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "a failed cache write must fail the command");
+    assert!(!output.status.success(), "a failed {flag} write must fail the command");
     assert_ne!(output.status.code(), Some(101), "exit code 101 is a panic; stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    let expected = format!("error: failed to write {}: ", cache.display());
+    let expected = format!("error: failed to write {}: ", path.display());
     assert!(stderr.contains(&expected), "stderr: {stderr}");
+}
+
+#[test]
+fn unwritable_cache_fails_the_command_without_a_panic() {
+    assert_unwritable_path_fails("--cache", "cells.cache");
+}
+
+#[test]
+fn unwritable_trace_fails_the_command_without_a_panic() {
+    assert_unwritable_path_fails("--trace-out", "trace.jsonl");
 }
 
 #[test]

@@ -10,8 +10,7 @@
 //!   ([`erdos_renyi::ErdosRenyi`]), the model used for all simulations in
 //!   Section 5 (with `p = log² n / n`);
 //! * the **configuration model** with `d` stubs per node
-//!   ([`config_model::ConfigurationModel`]) used for the proof of Theorem 1,
-//!   together with the *deferred decisions* stub-pairing view ([`stubs`]);
+//!   ([`config_model::ConfigurationModel`]) used for the proof of Theorem 1;
 //! * **complete graphs** ([`complete::CompleteGraph`]), the reference point of
 //!   Karp et al. and Berenbrink et al.
 //!
@@ -41,7 +40,6 @@ pub mod erdos_renyi;
 pub mod generator;
 pub mod properties;
 pub mod regular;
-pub mod stubs;
 pub mod topology;
 
 pub use arena::GraphArena;

@@ -1,9 +1,8 @@
 //! # rpc-obs
 //!
 //! The observability layer of the gossip-density workspace: a zero-cost
-//! [`Observer`] trait, a typed event taxonomy ([`ObsEvent`]), and three
-//! sinks — a JSON-lines [`TraceWriter`], an in-memory [`Aggregator`], and a
-//! live stderr [`ProgressReporter`].
+//! [`Observer`] trait, a typed event taxonomy ([`ObsEvent`]), and two sinks —
+//! a JSON-lines [`TraceWriter`] and a live stderr [`ProgressReporter`].
 //!
 //! ## The zero-cost contract
 //!
@@ -30,14 +29,12 @@
 //! [`DeliveryCore`], [`CoreRounds`], [`DispatchRecord`], [`PoolStats`],
 //! [`ReuseStats`].
 
-pub mod aggregate;
 pub mod event;
 pub mod json;
 pub mod progress;
 pub mod stats;
 pub mod trace;
 
-pub use aggregate::Aggregator;
 pub use event::{NoopObserver, ObsEvent, Observer};
 pub use json::{escape_into, parse_object, JsonValue};
 pub use progress::ProgressReporter;

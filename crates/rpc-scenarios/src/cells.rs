@@ -17,7 +17,7 @@
 //! * [`CellJob::MemoryFailure`] — the robustness experiments' memory-model
 //!   run with node failures injected between Phase I and Phase II.
 
-use rpc_engine::PhaseSnapshot;
+use rpc_engine::{Engine, PhaseSnapshot};
 use rpc_gossip::{FastGossipingConfig, MemoryGossip, MemoryGossipConfig};
 use rpc_obs::{CoreRounds, NoopObserver};
 

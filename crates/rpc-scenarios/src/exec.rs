@@ -1079,11 +1079,11 @@ fn place_rumor(placement: StartPlacement, graph: &Graph, env_rng: &mut SmallRng)
 ///
 /// Draw order (part of the RNG contract documented on
 /// [`schedule_environment`]): Poisson samples one arrival count per round
-/// (Knuth's sampler) followed by one uniform source per arrival, in round
-/// order; leftover rumors at the horizon draw their sources in id order.
-/// Hotspot and explicit schedules draw nothing. All injections land strictly
-/// below the effective round horizon — an event at `round >= horizon` could
-/// never fire.
+/// ([`poisson_arrivals`]) followed by one uniform source per arrival, in
+/// round order; leftover rumors at the horizon draw their sources in id
+/// order. Hotspot and explicit schedules draw nothing. All injections land
+/// strictly below the effective round horizon — an event at
+/// `round >= horizon` could never fire.
 fn sample_injection_schedule(
     inj: &InjectionSpec,
     scenario: &Scenario,
@@ -1096,7 +1096,7 @@ fn sample_injection_schedule(
             let mut schedule = Vec::with_capacity(inj.rumors);
             let mut round = 0u64;
             while schedule.len() < inj.rumors && round < last {
-                let arrivals = poisson_knuth(*rate, env_rng).min(inj.rumors - schedule.len());
+                let arrivals = poisson_arrivals(*rate, inj.rumors - schedule.len(), env_rng);
                 for _ in 0..arrivals {
                     schedule.push((round, env_rng.gen_range(0..n) as NodeId));
                 }
@@ -1118,8 +1118,30 @@ fn sample_injection_schedule(
     }
 }
 
-/// Knuth's Poisson sampler (product of uniforms against `e^-rate`): exact,
-/// dependency-free, and cheap for the small per-round rates scenarios use.
+/// Largest rate one Knuth draw takes: `e^-rate` must stay far above the
+/// smallest positive `f64` (about `e^-745`), where the product of uniforms
+/// would underflow and cap the count.
+const KNUTH_MAX_RATE: f64 = 500.0;
+
+/// One Poisson(`rate`) arrival count, capped at `remaining` (at least 1).
+///
+/// A rate up to [`KNUTH_MAX_RATE`] is a single Knuth draw (product of
+/// uniforms against `e^-rate`): exact, dependency-free, and cheap for the
+/// small per-round rates scenarios use. A larger rate is split into chunks
+/// of at most [`KNUTH_MAX_RATE`] whose independent draws are summed (Poisson
+/// counts add), stopping once the sum reaches `remaining`, so the cost is
+/// bounded by the rumor count rather than by the rate.
+fn poisson_arrivals(rate: f64, remaining: usize, rng: &mut SmallRng) -> usize {
+    let (mut left, mut total) = (rate, 0usize);
+    while left > 0.0 && total < remaining {
+        let chunk = left.min(KNUTH_MAX_RATE);
+        total += poisson_knuth(chunk, rng);
+        left -= chunk;
+    }
+    total.min(remaining)
+}
+
+/// Knuth's Poisson sampler; exact while `e^-rate` is a normal `f64`.
 fn poisson_knuth(rate: f64, rng: &mut SmallRng) -> usize {
     let l = (-rate).exp();
     let mut k = 0usize;
@@ -1596,6 +1618,42 @@ mod tests {
             assert_eq!(o.tracked_coverage, 1.0);
             assert_eq!(trace.rounds.len(), 1, "only the initial stop-rule check runs");
         }
+    }
+
+    #[test]
+    fn poisson_draws_at_small_rates_are_unchanged() {
+        // The first 20 draws from a fixed seed, as the single-draw Knuth
+        // sampler produced them before large rates were chunked.
+        let pinned: [(f64, [usize; 20]); 2] = [
+            (1.0, [2, 1, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2, 3, 1, 0, 2, 0, 0, 0, 0]),
+            (2.5, [2, 2, 2, 5, 0, 0, 1, 3, 3, 5, 0, 3, 1, 3, 2, 5, 5, 1, 1, 2]),
+        ];
+        for (rate, expected) in pinned {
+            let mut rng = SmallRng::seed_from_u64(0x5EED);
+            let draws: Vec<usize> =
+                (0..20).map(|_| poisson_arrivals(rate, usize::MAX, &mut rng)).collect();
+            assert_eq!(draws, expected, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn poisson_mean_tracks_rates_past_the_knuth_underflow() {
+        // A single Knuth draw saturates near 745 arrivals, where `e^-rate`
+        // underflows; the chunked draw must keep the mean at the rate.
+        for rate in [1000.0, 10_000.0] {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let sum: usize = (0..400).map(|_| poisson_arrivals(rate, usize::MAX, &mut rng)).sum();
+            let mean = sum as f64 / 400.0;
+            assert!((mean - rate).abs() <= 0.02 * rate, "rate {rate}: mean {mean}");
+        }
+    }
+
+    #[test]
+    fn poisson_draw_stops_at_the_remaining_count() {
+        // The largest representable rate costs a few chunks, not ~2^64
+        // iterations: drawing stops once the remaining rumors are covered.
+        let mut rng = SmallRng::seed_from_u64(4);
+        assert_eq!(poisson_arrivals(u64::MAX as f64, 4096, &mut rng), 4096);
     }
 
     #[test]

@@ -352,9 +352,10 @@ pub struct InjectionEntry {
 #[derive(Clone, Debug, PartialEq)]
 pub enum InjectPattern {
     /// Independent arrivals: each round injects `Poisson(rate)` new rumors
-    /// (Knuth's product-of-uniforms sampler) at uniformly random sources,
-    /// until all `rumors` ids are spent; leftovers are injected in the last
-    /// round before the `max-rounds` horizon.
+    /// (Knuth's product-of-uniforms sampler, summed over chunks of at most
+    /// 500 for larger rates) at uniformly random sources, until all `rumors`
+    /// ids are spent; leftovers are injected in the last round before the
+    /// `max-rounds` horizon.
     Poisson {
         /// Mean arrivals per round, positive and finite.
         rate: f64,

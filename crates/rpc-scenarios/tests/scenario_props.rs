@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use rpc_engine::{Simulation, Transfer};
+use rpc_engine::{Engine, Simulation, Transfer};
 use rpc_graphs::prelude::*;
 use rpc_scenarios::prelude::*;
 

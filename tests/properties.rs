@@ -1,8 +1,9 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! invariants the paper's analysis relies on.
 
-use gossip_density::engine::DeliverySemantics;
-use gossip_density::engine::{sample_failures, MessageSet, Simulation, Transfer};
+use gossip_density::engine::{
+    sample_failures, MessageSet, Simulation, Transfer, UnpackedSimulation,
+};
 use gossip_density::graphs::prelude::*;
 use gossip_density::graphs::topology;
 use gossip_density::prelude::*;
@@ -143,8 +144,11 @@ proptest! {
         }
     }
 
-    /// Deferred and immediate delivery reach the same fixpoint when the same
-    /// transfer pattern is applied until saturation.
+    /// The packed engine and the unpacked oracle deliver with the same
+    /// begin-of-step semantics: applying every ring edge each step, both hold
+    /// identical states after every step, and both reach the all-informed
+    /// fixpoint after exactly the ring's diameter of `n / 2` steps — one hop
+    /// per step.
     #[test]
     fn delivery_semantics_agree_at_fixpoint(n in 3usize..32, seed in any::<u64>()) {
         let g = topology::ring(n);
@@ -154,15 +158,19 @@ proptest! {
                 transfers.push(Transfer::new(v, u));
             }
         }
-        let mut deferred = Simulation::new(&g, seed).with_semantics(DeliverySemantics::Deferred);
-        let mut immediate = Simulation::new(&g, seed).with_semantics(DeliverySemantics::Immediate);
-        for _ in 0..n {
-            deferred.deliver(&transfers);
-            immediate.deliver(&transfers);
+        let mut packed = Simulation::new(&g, seed);
+        let mut oracle = UnpackedSimulation::new(&g, seed);
+        for step in 0..n / 2 {
+            prop_assert!(!packed.gossip_complete(), "complete after {} of {} steps", step, n / 2);
+            packed.deliver(&transfers);
+            oracle.deliver(&transfers);
+            for v in 0..n as u32 {
+                prop_assert_eq!(packed.state(v), oracle.state(v));
+            }
         }
         for v in 0..n as u32 {
-            prop_assert!(deferred.is_fully_informed(v));
-            prop_assert!(immediate.is_fully_informed(v));
+            prop_assert!(packed.is_fully_informed(v));
+            prop_assert!(oracle.is_fully_informed(v));
         }
     }
 
