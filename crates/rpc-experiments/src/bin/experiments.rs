@@ -38,8 +38,8 @@
 //! for an `init` envelope naming a registry scenario, then answers
 //! `start_round`/`gossip`/`read` until EOF. `--state-path` persists the rumor
 //! store after every message so a supervisor can kill and restart the process
-//! without losing rumors. `cluster` wires n such actors to the coordinator
-//! over in-process channels and injects faults per the `--nemesis` grammar
+//! without losing rumors. `cluster` runs n such actors and the coordinator in
+//! one process and injects faults per the `--nemesis` grammar
 //! (`drop=0.1,delay=0.2:3,duplicate=0.05,partition=4:2,crash=3@5+4,seed=9`);
 //! `--require-complete` exits nonzero unless the stop rule was satisfied.
 //!
@@ -267,6 +267,26 @@ fn run_sweep(opts: &RunOpts) -> CmdResult {
     Ok(())
 }
 
+fn run_all(opts: &RunOpts) -> CmdResult {
+    run_sweep(opts)?;
+    if opts.should_run("separation") {
+        run_separation(opts)?;
+    }
+    Ok(())
+}
+
+/// The subcommands that run sweeps (`table1` rides along): each starts its
+/// trace from an empty file.
+fn sweep_command(name: &str) -> Option<fn(&RunOpts) -> CmdResult> {
+    let run: fn(&RunOpts) -> CmdResult = match name {
+        "separation" => run_separation,
+        "sweep" => run_sweep,
+        "all" => run_all,
+        _ => return SWEEP_EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|&(_, run)| run),
+    };
+    Some(run)
+}
+
 /// Aggregates a JSON-lines trace (from `--profile` / `--trace-out`) into the
 /// per-cell, per-core timing table.
 fn run_profile(opts: &RunOpts) -> CmdResult {
@@ -286,20 +306,16 @@ fn run_profile(opts: &RunOpts) -> CmdResult {
     }
 }
 
-/// With tracing enabled, start every invocation from an empty trace file:
-/// the per-sweep writers append, so without this reruns would accumulate
-/// stale events and the `profile` table would double-count. A trace file
-/// that cannot be created fails the command before any sweep runs.
-fn truncate_trace(opts: &RunOpts) -> CmdResult {
-    let Some(path) = opts.trace_path() else {
-        return Ok(());
-    };
+/// Creates the trace file at `path`, empty, along with any missing parent
+/// directories. A sweep command calls this once before it runs, because its
+/// per-sweep writers append: without it reruns would accumulate stale events
+/// and the `profile` table would double-count.
+fn create_trace(path: &Path) -> Result<std::fs::File, String> {
     let failed = |e: std::io::Error| format!("failed to write {}: {e}", path.display());
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(failed)?;
     }
-    std::fs::File::create(&path).map_err(failed)?;
-    Ok(())
+    std::fs::File::create(path).map_err(failed)
 }
 
 /// `experiments node [--state-path FILE]` — the deployable actor: serve one
@@ -359,13 +375,11 @@ fn run_cluster_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String>
     let config = ClusterConfig { policy: RetryPolicy::default(), nemesis };
     let outcome = match &trace_out {
         Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create trace {}: {e}", path.display()))?;
-            let mut sink = TraceWriter::new(std::io::BufWriter::new(file));
+            let mut sink = TraceWriter::new(std::io::BufWriter::new(create_trace(path)?));
             let outcome = run_cluster_observed(&scenario, seed, &config, &mut sink)
                 .map_err(|e| e.to_string())?;
-            let mut writer = sink.finish().map_err(|e| format!("trace {}: {e}", path.display()))?;
-            writer.flush().map_err(|e| format!("trace {}: {e}", path.display()))?;
+            let failed = |e: std::io::Error| format!("failed to write {}: {e}", path.display());
+            sink.finish().map_err(failed)?.flush().map_err(failed)?;
             eprintln!("wrote {}", path.display());
             outcome
         }
@@ -396,7 +410,7 @@ fn print_cluster_summary(scenario: &str, n: usize, seed: u64, outcome: &RuntimeO
          crash_drops={} crashes={} restarts={}",
         f.dropped, f.delayed, f.duplicated, f.partition_drops, f.crash_drops, f.crashes, f.restarts
     );
-    let informed = outcome.final_counts.iter().filter(|&&c| c > 0).count();
+    let informed = outcome.trace.last().map_or(0, |row| row.fully_informed);
     println!("  informed_nodes   {informed}/{n}");
     println!("  forged_rumors    {}", outcome.forged);
 }
@@ -404,52 +418,35 @@ fn print_cluster_summary(scenario: &str, n: usize, seed: u64, outcome: &RuntimeO
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_else(|| "help".to_string());
-    // The runtime commands parse their own flags — they are not sweeps and
-    // take none of the sweep options.
-    if command == "node" || command == "cluster" {
-        let result = if command == "node" { run_node(args) } else { run_cluster_cmd(args) };
-        return match result {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let opts = match RunOpts::parse(args) {
-        Ok(o) => o,
+    let result = match command.as_str() {
+        // The runtime commands parse their own flags — they are not sweeps
+        // and take none of the sweep options.
+        "node" => run_node(args),
+        "cluster" => run_cluster_cmd(args),
+        _ => RunOpts::parse(args).and_then(|opts| run_with_sweep_options(&command, &opts)),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if command != "profile" {
-        if let Err(e) = truncate_trace(&opts) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    let result = match command.as_str() {
-        "table1" => run_table1(&opts),
-        "fig1" => run_fig1(&opts),
-        "fig2" => run_fig2(&opts),
-        "fig3" => run_fig3(&opts),
-        "fig4" => run_fig4(&opts),
-        "fig5" => run_fig5(&opts),
-        "theory" => run_theory(&opts),
-        "separation" => run_separation(&opts),
-        "ablation" => run_ablation(&opts),
-        "phases" => run_phases(&opts),
-        "scenario" => run_scenarios(&opts),
-        "sweep" => run_sweep(&opts),
-        "all" => run_sweep(&opts).and_then(|()| {
-            if opts.should_run("separation") {
-                run_separation(&opts)
-            } else {
-                Ok(())
-            }
-        }),
-        "profile" => run_profile(&opts),
+}
+
+/// Runs a subcommand that takes the sweep options. Only a sweep subcommand
+/// empties the trace file: `profile` reads it, and `help` or a mistyped
+/// name must leave it alone. A trace file that cannot be created fails the
+/// command before any sweep runs.
+fn run_with_sweep_options(command: &str, opts: &RunOpts) -> CmdResult {
+    if let Some(run) = sweep_command(command) {
+        if let Some(path) = opts.trace_path() {
+            create_trace(&path)?;
+        }
+        return run(opts);
+    }
+    match command {
+        "profile" => run_profile(opts),
         "help" | "--help" | "-h" => {
             println!(
                 "usage: experiments \
@@ -464,12 +461,5 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown subcommand: {other} (try `experiments help`)")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
     }
 }

@@ -152,8 +152,8 @@ impl RunOpts {
     /// are write-only sinks (see `rpc-obs`).
     ///
     /// The trace file is opened in append mode so the experiments of one
-    /// invocation share a single stream; the CLI truncates it once at
-    /// startup.
+    /// invocation share a single stream; the CLI empties it once before a
+    /// sweep subcommand runs.
     ///
     /// # Errors
     ///

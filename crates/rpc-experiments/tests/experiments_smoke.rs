@@ -124,17 +124,18 @@ fn unwritable_out_dir_fails_the_command() {
     assert!(stderr.contains("table1_constants.csv"), "stderr: {stderr}");
 }
 
-/// Runs `fig1 --quick <flag> <blocker>/sub/<file>` where `<blocker>` is a
-/// regular file, so the path cannot be written: the command must report the
-/// failed write and exit nonzero, not panic and not succeed without it.
-fn assert_unwritable_path_fails(flag: &str, file: &str) {
-    let label = flag.trim_start_matches('-');
+/// Runs `<args> <flag> <blocker>/sub/<file>` where `<blocker>` is a regular
+/// file, so the path cannot be written: the command must report the failed
+/// write and exit nonzero, not panic and not succeed without it.
+fn assert_unwritable_path_fails(args: &[&str], flag: &str, file: &str) {
+    let label = format!("{}-{}", args[0], flag.trim_start_matches('-'));
     let blocker = std::env::temp_dir()
         .join(format!("experiments-smoke-{label}-blocker-{}", std::process::id()));
     std::fs::write(&blocker, "a regular file").expect("scratch file should be writable");
     let path = blocker.join("sub").join(file);
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["fig1", "--quick", flag])
+        .args(args)
+        .arg(flag)
         .arg(&path)
         .output()
         .expect("experiments binary should spawn");
@@ -149,12 +150,64 @@ fn assert_unwritable_path_fails(flag: &str, file: &str) {
 
 #[test]
 fn unwritable_cache_fails_the_command_without_a_panic() {
-    assert_unwritable_path_fails("--cache", "cells.cache");
+    assert_unwritable_path_fails(&["fig1", "--quick"], "--cache", "cells.cache");
 }
 
 #[test]
 fn unwritable_trace_fails_the_command_without_a_panic() {
-    assert_unwritable_path_fails("--trace-out", "trace.jsonl");
+    assert_unwritable_path_fails(&["fig1", "--quick"], "--trace-out", "trace.jsonl");
+}
+
+#[test]
+fn unwritable_cluster_trace_fails_the_command_without_a_panic() {
+    assert_unwritable_path_fails(
+        &["cluster", "--scenario", "sparse-er"],
+        "--trace-out",
+        "trace.jsonl",
+    );
+}
+
+#[test]
+fn commands_that_run_no_sweep_leave_the_trace_file_alone() {
+    let dir = scratch_dir("keep-trace");
+    std::fs::create_dir_all(&dir).expect("scratch dir should be creatable");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(&trace, "{\"ev\":\"kept\"}\n").expect("trace should be writable");
+    for (command, succeeds) in [("no-such-cmd", false), ("help", true)] {
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([command, "--trace-out"])
+            .arg(&trace)
+            .output()
+            .expect("experiments binary should spawn");
+        assert_eq!(output.status.success(), succeeds, "{command}");
+        let kept = std::fs::read_to_string(&trace).expect("trace should still exist");
+        assert_eq!(kept, "{\"ev\":\"kept\"}\n", "`{command}` rewrote the trace");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `informed_nodes` line of `experiments cluster`'s summary.
+fn cluster_informed_nodes(nemesis: &str) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["cluster", "--scenario", "sparse-er", "--n", "16", "--seed", "3"])
+        .args(["--nemesis", nemesis])
+        .output()
+        .expect("experiments binary should spawn");
+    assert!(output.status.success(), "stderr: {}", String::from_utf8_lossy(&output.stderr));
+    let stdout = String::from_utf8(output.stdout).expect("stdout should be UTF-8");
+    stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("informed_nodes"))
+        .unwrap_or_else(|| panic!("no informed_nodes line:\n{stdout}"))
+        .trim()
+        .to_string()
+}
+
+#[test]
+fn cluster_summary_counts_only_fully_informed_nodes() {
+    // Every message dropped: no node learns a rumor besides its own.
+    assert_eq!(cluster_informed_nodes("drop=1.0,seed=4"), "0/16");
+    assert_eq!(cluster_informed_nodes(""), "16/16");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The in-process cluster harness: a deterministic, single-threaded
-//! event scheduler driving one [`Coordinator`] and `n` [`NodeHost`]s over
-//! channel transports, with every message routed through a [`Nemesis`].
+//! event scheduler driving one [`Coordinator`] and `n` [`NodeActor`]s, with
+//! every message routed through a [`Nemesis`]. A delivery is a direct call
+//! to the recipient's `handle`; no transport sits in between.
 //!
 //! Time is a virtual tick counter. Every message costs one base tick of
 //! latency; the nemesis can add delay, drop the message, or duplicate it.
@@ -25,7 +26,6 @@ use rpc_scenarios::{
     plan_runtime, scenario_engine_seeds, RoundTrace, Scenario, ScenarioError, StoppedBy,
 };
 
-use crate::host::{ChannelEnds, ChannelTransport, NodeHost};
 use crate::nemesis::{FaultStats, Nemesis, NemesisSpec};
 use crate::node::NodeActor;
 use crate::sync::{Coordinator, RetryPolicy};
@@ -77,12 +77,11 @@ pub struct RuntimeOutcome {
     pub quorum_advances: u64,
     /// Faults the nemesis injected.
     pub faults: FaultStats,
-    /// Final reported rumor count per node.
-    pub final_counts: Vec<u64>,
     /// Final rumor-store words per node (persisted snapshot for a node that
     /// ended the run inside a crash window).
     pub final_words: Vec<Vec<u64>>,
-    /// Per-round snapshots of the reported per-node counts (round 0 first).
+    /// Per-round snapshots of the reported per-node counts (round 0 first);
+    /// the last row is each node's final report.
     pub count_history: Vec<Vec<u64>>,
     /// Store snapshots persisted at each crash.
     pub crash_audits: Vec<CrashAudit>,
@@ -153,21 +152,16 @@ pub fn run_cluster_observed<O: Observer>(
     let plan = plan_runtime(scenario, seed, &graph)?;
     let n = plan.n;
 
-    let mut hosts: Vec<Option<NodeHost<'_, ChannelTransport>>> = Vec::with_capacity(n);
-    let mut ends: Vec<ChannelEnds> = Vec::with_capacity(n);
-    for k in 0..n {
-        let (transport, end) = ChannelTransport::pair();
-        hosts.push(Some(NodeHost::new(NodeActor::new(&graph, &plan, k as NodeId), transport)));
-        ends.push(end);
-    }
+    // `None` while the node is inside a crash window.
+    let mut actors: Vec<Option<NodeActor<'_>>> =
+        (0..n).map(|k| Some(NodeActor::new(&graph, &plan, k as NodeId))).collect();
     let mut coordinator = Coordinator::new(plan.clone(), config.policy, &scenario.name, seed);
     let mut nemesis = Nemesis::new(config.nemesis.clone());
 
     let mut sched = Scheduler { queue: BinaryHeap::new(), seq: 0 };
     let mut now: u64 = 0;
-    let mut down = vec![false; n];
-    // The round whose crash windows `down` reflects (none before the first
-    // delivery).
+    // The round whose crash windows `actors` reflects (none before the
+    // first delivery).
     let mut enacted: Option<u64> = None;
     let mut persisted: Vec<Vec<u64>> = vec![Vec::new(); n];
     let mut crash_audits: Vec<CrashAudit> = Vec::new();
@@ -224,55 +218,31 @@ pub fn run_cluster_observed<O: Observer>(
         // enacted, checking again before it ends changes nothing.
         if enacted != Some(round) {
             enacted = Some(round);
-            for k in 0..n {
-                let in_window = nemesis.crashed(k as NodeId, round);
-                if in_window && !down[k] {
-                    if let Some(host) = hosts[k].take() {
-                        persisted[k] = host.actor().store().words().to_vec();
+            for (k, slot) in actors.iter_mut().enumerate() {
+                if nemesis.crashed(k as NodeId, round) {
+                    if let Some(actor) = slot.take() {
+                        persisted[k] = actor.store().words().to_vec();
                         crash_audits.push(CrashAudit {
                             node: k as NodeId,
                             persisted: persisted[k].clone(),
                         });
                         nemesis.note_crash();
                     }
-                    down[k] = true;
-                } else if !in_window && down[k] {
-                    let (transport, end) = ChannelTransport::pair();
-                    hosts[k] = Some(NodeHost::new(
-                        NodeActor::restart(&graph, &plan, k as NodeId, &persisted[k]),
-                        transport,
-                    ));
-                    ends[k] = end;
+                } else if slot.is_none() {
+                    *slot = Some(NodeActor::restart(&graph, &plan, k as NodeId, &persisted[k]));
                     nemesis.note_restart();
-                    down[k] = false;
                 }
             }
         }
 
-        // Deliver.
+        // Deliver. A node with no actor is inside a crash window that opened
+        // between send and delivery; the message is lost.
         let replies: Vec<Envelope> = if env.dest == COORDINATOR {
             coordinator.handle(&env, obs)
-        } else if let Some(k) = parse_node_name(&env.dest).map(|id| id as usize) {
-            if k >= n || down[k] {
-                // The window opened between send and delivery.
-                Vec::new()
-            } else if let Some(host) = hosts[k].as_mut() {
-                ends[k]
-                    .tx
-                    .send(env)
-                    .map_err(|_| ScenarioError::Invalid("node inbox disconnected".into()))?;
-                host.pump()
-                    .map_err(|e| ScenarioError::Invalid(format!("node transport failed: {e}")))?;
-                let mut out = Vec::new();
-                while let Ok(reply) = ends[k].rx.try_recv() {
-                    out.push(reply);
-                }
-                out
-            } else {
-                Vec::new()
-            }
         } else {
-            Vec::new()
+            parse_node_name(&env.dest)
+                .and_then(|id| actors.get_mut(id as usize)?.as_mut())
+                .map_or_else(Vec::new, |actor| actor.handle(&env))
         };
         let round = coordinator.current_round();
         for reply in replies {
@@ -282,12 +252,12 @@ pub fn run_cluster_observed<O: Observer>(
 
     let stopped_by = coordinator.stopped_by().expect("a finished coordinator names its stop cause");
     let final_words: Vec<Vec<u64>> = (0..n)
-        .map(|k| match hosts[k].as_ref() {
-            Some(host) => host.actor().store().words().to_vec(),
+        .map(|k| match &actors[k] {
+            Some(actor) => actor.store().words().to_vec(),
             None => persisted[k].clone(),
         })
         .collect();
-    let forged = hosts.iter().flatten().any(|host| !host.actor().no_forged_rumors());
+    let forged = actors.iter().flatten().any(|actor| !actor.no_forged_rumors());
     Ok(RuntimeOutcome {
         completed: stopped_by.satisfied(),
         stopped_by,
@@ -298,7 +268,6 @@ pub fn run_cluster_observed<O: Observer>(
         retries: coordinator.retries(),
         quorum_advances: coordinator.quorum_advances(),
         faults: *nemesis.stats(),
-        final_counts: coordinator.counts().to_vec(),
         final_words,
         count_history: coordinator.count_history().to_vec(),
         crash_audits,
@@ -325,7 +294,7 @@ mod tests {
         assert_eq!(outcome.trace[0].round, 0);
         assert_eq!(outcome.trace.last().unwrap().fully_informed, 16);
         // Everyone ends fully informed.
-        assert!(outcome.final_counts.iter().all(|&c| c == 16));
+        assert_eq!(outcome.count_history.last(), Some(&vec![16; 16]));
     }
 
     #[test]
@@ -334,7 +303,7 @@ mod tests {
         let a = run_cluster(&scenario, 11, &ClusterConfig::benign()).unwrap();
         let b = run_cluster(&scenario, 11, &ClusterConfig::benign()).unwrap();
         assert_eq!(a.trace, b.trace);
-        assert_eq!(a.final_counts, b.final_counts);
+        assert_eq!(a.count_history.last(), b.count_history.last());
         assert_eq!(a.total_packets, b.total_packets);
     }
 

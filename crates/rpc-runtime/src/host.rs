@@ -1,16 +1,11 @@
-//! Transports and the node host: how an actor meets the outside world.
+//! The stdio transport and the node's main loop: how a deployable actor
+//! meets the outside world.
 //!
-//! [`Transport`] is the runtime's only I/O abstraction — send an envelope,
-//! receive the next one — with two implementations:
-//!
-//! * [`ChannelTransport`]: in-process `std::sync::mpsc` queues. The cluster
-//!   harness drives every node through one of these, which keeps actors
-//!   genuinely behind the transport seam while the whole run stays
-//!   single-threaded and deterministic.
-//! * [`StdioTransport`]: one JSON envelope per line over any
-//!   `BufRead`/`Write` pair — in production stdin/stdout, so a node is a
-//!   plain OS process (`experiments node`) a Maelstrom-style harness can
-//!   spawn and wire up.
+//! [`StdioTransport`] carries one JSON envelope per line over any
+//! `BufRead`/`Write` pair — in production stdin/stdout, so a node is a plain
+//! OS process (`experiments node`) a Maelstrom-style harness can spawn and
+//! wire up. The in-process cluster needs no transport: it calls
+//! [`NodeActor::handle`] directly (see [`crate::cluster`]).
 //!
 //! [`serve`] is the deployable node's main loop: wait for `init`, build the
 //! graph and plan locally from the announced `(scenario, n, seed)`, then
@@ -34,8 +29,6 @@ use crate::wire::{Body, Envelope, WireError, CODE_UNUSABLE};
 pub enum TransportError {
     /// The underlying byte stream failed.
     Io(std::io::Error),
-    /// The peer hung up (a disconnected channel).
-    Closed,
     /// A received line failed to decode. Recoverable: the connection is
     /// still usable, the offending line is simply not a message.
     Wire(WireError),
@@ -45,7 +38,6 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
-            TransportError::Closed => write!(f, "transport closed"),
             TransportError::Wire(e) => write!(f, "undecodable message: {e}"),
         }
     }
@@ -57,18 +49,6 @@ impl From<std::io::Error> for TransportError {
     fn from(e: std::io::Error) -> Self {
         TransportError::Io(e)
     }
-}
-
-/// One node's connection to the rest of the cluster.
-pub trait Transport {
-    /// Sends one envelope.
-    fn send(&mut self, env: &Envelope) -> Result<(), TransportError>;
-
-    /// Receives the next envelope. `Ok(None)` means the stream is exhausted
-    /// — EOF for a stdio transport, "nothing pending right now" for a
-    /// channel transport. [`TransportError::Wire`] is recoverable: the line
-    /// was garbage but the stream lives on.
-    fn recv(&mut self) -> Result<Option<Envelope>, TransportError>;
 }
 
 /// JSON-lines over a `BufRead`/`Write` pair (stdin/stdout in production).
@@ -90,17 +70,19 @@ impl<R: BufRead, W: Write> StdioTransport<R, W> {
     pub fn into_output(self) -> W {
         self.output
     }
-}
 
-impl<R: BufRead, W: Write> Transport for StdioTransport<R, W> {
-    fn send(&mut self, env: &Envelope) -> Result<(), TransportError> {
+    /// Sends one envelope as one line.
+    pub fn send(&mut self, env: &Envelope) -> Result<(), TransportError> {
         self.output.write_all(env.encode().as_bytes())?;
         self.output.write_all(b"\n")?;
         self.output.flush()?;
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Option<Envelope>, TransportError> {
+    /// Receives the next envelope, skipping blank lines. `Ok(None)` means
+    /// EOF. [`TransportError::Wire`] is recoverable: the line was garbage
+    /// but the stream lives on.
+    pub fn recv(&mut self) -> Result<Option<Envelope>, TransportError> {
         loop {
             self.line.clear();
             if self.input.read_line(&mut self.line)? == 0 {
@@ -113,88 +95,18 @@ impl<R: BufRead, W: Write> Transport for StdioTransport<R, W> {
             return Envelope::decode(line).map(Some).map_err(TransportError::Wire);
         }
     }
-}
 
-/// The far ends of a [`ChannelTransport`]: what the harness holds.
-#[derive(Debug)]
-pub struct ChannelEnds {
-    /// Feeds the node's inbox.
-    pub tx: std::sync::mpsc::Sender<Envelope>,
-    /// Drains the node's outbox.
-    pub rx: std::sync::mpsc::Receiver<Envelope>,
-}
-
-/// In-process transport over `std::sync::mpsc` queues.
-#[derive(Debug)]
-pub struct ChannelTransport {
-    inbox: std::sync::mpsc::Receiver<Envelope>,
-    outbox: std::sync::mpsc::Sender<Envelope>,
-}
-
-impl ChannelTransport {
-    /// A connected transport plus the harness-side [`ChannelEnds`].
-    pub fn pair() -> (ChannelTransport, ChannelEnds) {
-        let (in_tx, in_rx) = std::sync::mpsc::channel();
-        let (out_tx, out_rx) = std::sync::mpsc::channel();
-        (ChannelTransport { inbox: in_rx, outbox: out_tx }, ChannelEnds { tx: in_tx, rx: out_rx })
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send(&mut self, env: &Envelope) -> Result<(), TransportError> {
-        self.outbox.send(env.clone()).map_err(|_| TransportError::Closed)
-    }
-
-    fn recv(&mut self) -> Result<Option<Envelope>, TransportError> {
-        match self.inbox.try_recv() {
-            Ok(env) => Ok(Some(env)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(TransportError::Closed),
-        }
-    }
-}
-
-/// One actor bound to one transport.
-#[derive(Debug)]
-pub struct NodeHost<'g, T: Transport> {
-    actor: NodeActor<'g>,
-    transport: T,
-}
-
-impl<'g, T: Transport> NodeHost<'g, T> {
-    /// Binds `actor` to `transport`.
-    pub fn new(actor: NodeActor<'g>, transport: T) -> Self {
-        NodeHost { actor, transport }
-    }
-
-    /// The hosted actor.
-    pub fn actor(&self) -> &NodeActor<'g> {
-        &self.actor
-    }
-
-    /// Drains every pending inbound message, handling each and sending the
-    /// replies. Returns how many messages were processed.
-    pub fn pump(&mut self) -> Result<usize, TransportError> {
-        let mut handled = 0;
+    /// [`recv`](Self::recv) that answers every undecodable line with an
+    /// `error` envelope from `name` (`?` before `init`) and reads on.
+    fn recv_answering_garbage(&mut self, name: &str) -> Result<Option<Envelope>, TransportError> {
         loop {
-            match self.transport.recv() {
-                Ok(Some(env)) => {
-                    handled += 1;
-                    for reply in self.actor.handle(&env) {
-                        self.transport.send(&reply)?;
-                    }
-                }
-                Ok(None) => return Ok(handled),
-                Err(TransportError::Wire(e)) => {
-                    handled += 1;
-                    let reply = Envelope::new(
-                        self.actor.name(),
-                        "?",
-                        Body::Error { code: e.code(), text: e.to_string() },
-                    );
-                    self.transport.send(&reply)?;
-                }
-                Err(fatal) => return Err(fatal),
+            match self.recv() {
+                Err(TransportError::Wire(e)) => self.send(&Envelope::new(
+                    name,
+                    "?",
+                    Body::Error { code: e.code(), text: e.to_string() },
+                ))?,
+                other => return other,
             }
         }
     }
@@ -205,25 +117,15 @@ impl<'g, T: Transport> NodeHost<'g, T> {
 /// and the plan, and pump until EOF. `state_path` enables crash-restart
 /// persistence: the rumor store is written there after every handled
 /// message and reloaded (when valid) at `init`.
-pub fn serve<T: Transport>(
-    transport: &mut T,
+pub fn serve<R: BufRead, W: Write>(
+    transport: &mut StdioTransport<R, W>,
     state_path: Option<&Path>,
 ) -> Result<(), TransportError> {
     // Phase 1: everything before a successful init is either the init
     // itself or answered with a structured error.
     let (graph, plan, init_env) = loop {
-        let env = match transport.recv() {
-            Ok(Some(env)) => env,
-            Ok(None) => return Ok(()),
-            Err(TransportError::Wire(e)) => {
-                transport.send(&Envelope::new(
-                    "?",
-                    "?",
-                    Body::Error { code: e.code(), text: e.to_string() },
-                ))?;
-                continue;
-            }
-            Err(fatal) => return Err(fatal),
+        let Some(env) = transport.recv_answering_garbage("?")? else {
+            return Ok(());
         };
         match env.body {
             Body::Init { n, ref scenario, seed, .. } => match prepare(scenario, n as usize, seed) {
@@ -249,25 +151,10 @@ pub fn serve<T: Transport>(
         Some(persisted) => NodeActor::restart(&graph, &plan, node_id, persisted.words()),
         None => NodeActor::new(&graph, &plan, node_id),
     };
+    let name = actor.name();
     // Phase 2: the init reply, then pump until EOF.
-    let mut pending = Some(init_env);
-    loop {
-        let env = match pending.take() {
-            Some(env) => env,
-            None => match transport.recv() {
-                Ok(Some(env)) => env,
-                Ok(None) => return Ok(()),
-                Err(TransportError::Wire(e)) => {
-                    transport.send(&Envelope::new(
-                        actor.name(),
-                        "?",
-                        Body::Error { code: e.code(), text: e.to_string() },
-                    ))?;
-                    continue;
-                }
-                Err(fatal) => return Err(fatal),
-            },
-        };
+    let mut next = Some(init_env);
+    while let Some(env) = next {
         for reply in actor.handle(&env) {
             transport.send(&reply)?;
         }
@@ -275,7 +162,9 @@ pub fn serve<T: Transport>(
             // Best-effort durability; a full disk must not kill the node.
             let _ = std::fs::write(path, actor.store().to_hex());
         }
+        next = transport.recv_answering_garbage(&name)?;
     }
+    Ok(())
 }
 
 /// Builds the graph and runtime plan a freshly initialised node needs.
@@ -415,12 +304,28 @@ mod tests {
     }
 
     #[test]
-    fn channel_transport_round_trips() {
-        let (mut transport, ends) = ChannelTransport::pair();
-        ends.tx.send(Envelope::new("a", "b", Body::Read)).unwrap();
-        assert_eq!(transport.recv().unwrap().unwrap().body, Body::Read);
-        assert!(transport.recv().unwrap().is_none(), "empty inbox is None, not an error");
-        transport.send(&Envelope::new("b", "a", Body::Read)).unwrap();
-        assert_eq!(ends.rx.recv().unwrap().src, "b");
+    fn a_far_future_round_is_answered_without_replaying_every_round() {
+        // A round far past the plan's cap draws nothing, so the node must
+        // not walk its schedule there one round at a time.
+        let start = Envelope::new(
+            COORDINATOR,
+            "n0",
+            Body::StartRound { round: 100_000_000_000_000, attempt: 0 },
+        )
+        .encode();
+        let read = Envelope::new("probe", "n0", Body::Read).encode();
+        let input = format!("{}\n{start}\n{read}\n", init_line(0, 16, 3));
+        // A thread and a timeout, so a node that stalls fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(serve_lines(&input)));
+        let replies = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("serve answers the read within 10 s");
+        worker.join().expect("serve returns at EOF").expect("the receiver is alive");
+        assert!(
+            matches!(replies.last().map(|e| &e.body), Some(Body::ReadOk { count: 1, .. })),
+            "replies: {replies:?}"
+        );
     }
 }

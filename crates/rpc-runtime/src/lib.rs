@@ -4,9 +4,8 @@
 //! turned into *deployable actors*. Where the rest of the workspace
 //! simulates the random phone call model inside one process, this crate
 //! splits a push-pull gossip run into `n` independent node actors plus a
-//! coordinator, speaking a JSON-lines wire protocol over a pluggable
-//! transport — and keeps the result bit-identical to the simulator when the
-//! network behaves.
+//! coordinator, speaking a JSON-lines wire protocol — and keeps the result
+//! bit-identical to the simulator when the network behaves.
 //!
 //! The layers, bottom up:
 //!
@@ -21,10 +20,10 @@
 //!   bounded exponential-backoff retries and quorum-based round advance;
 //! * [`nemesis`] — the seeded fault injector (drop, delay, duplicate,
 //!   partition, crash-restart), deterministic and fully audited;
-//! * [`host`] — the [`Transport`] trait with channel and stdio
-//!   implementations, plus [`serve`], the `experiments node` main loop;
+//! * [`host`] — [`StdioTransport`], JSON lines over stdin/stdout, and
+//!   [`serve`], the `experiments node` main loop;
 //! * [`cluster`] — the single-threaded deterministic harness running a whole
-//!   cluster in-process: [`run_cluster`].
+//!   cluster in-process by calling each actor directly: [`run_cluster`].
 //!
 //! ## The correctness anchor
 //!
@@ -48,9 +47,7 @@ pub mod sync;
 pub mod wire;
 
 pub use cluster::{run_cluster, run_cluster_observed, ClusterConfig, CrashAudit, RuntimeOutcome};
-pub use host::{
-    serve, ChannelEnds, ChannelTransport, NodeHost, StdioTransport, Transport, TransportError,
-};
+pub use host::{serve, StdioTransport, TransportError};
 pub use nemesis::{CrashPlan, FaultStats, Nemesis, NemesisSpec};
 pub use node::NodeActor;
 pub use store::RumorStore;

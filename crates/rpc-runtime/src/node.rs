@@ -250,8 +250,10 @@ impl<'g> NodeActor<'g> {
         // advance): abandon it — future payloads re-carry everything.
         self.current = None;
         // Fast-forward the schedule over rounds we missed while crashed (or
-        // that completed without us), so it stays in lockstep.
-        while self.started + 1 < round {
+        // that completed without us), so it stays in lockstep. Rounds past
+        // the cap draw nothing, so the replay stops there: a far-future
+        // round costs no more than the cap.
+        while self.started + 1 < round && self.started < self.plan.max_rounds {
             self.started += 1;
             self.draw_round(self.started);
         }

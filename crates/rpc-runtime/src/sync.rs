@@ -10,7 +10,7 @@
 //! which is what the differential suite pins.
 //!
 //! Timers are ordinary envelopes the coordinator addresses to itself
-//! ([`crate::wire::Body::Tick`]); the transport scheduler delivers them
+//! ([`crate::wire::Body::Tick`]); the cluster's scheduler delivers them
 //! `after` ticks later, bypassing the nemesis. Every retransmission bumps an
 //! epoch so stale timers are inert. The escalation ladder on a timeout is:
 //!

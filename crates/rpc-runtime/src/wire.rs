@@ -170,7 +170,7 @@ pub enum Body {
         /// Human-readable description.
         text: String,
     },
-    /// Coordinator → itself: a timer. The transport scheduler delivers it
+    /// Coordinator → itself: a timer. The cluster's scheduler delivers it
     /// `after` ticks in the future; `epoch` guards against stale timers.
     /// Internal — nodes reply with [`Body::Error`] if they ever receive one.
     Tick {

@@ -107,7 +107,7 @@ proptest! {
         let a = run_cluster(&scenario, seed, &config).unwrap();
         let b = run_cluster(&scenario, seed, &config).unwrap();
         prop_assert_eq!(a.trace, b.trace);
-        prop_assert_eq!(a.final_counts, b.final_counts);
+        prop_assert_eq!(a.count_history.last(), b.count_history.last());
         prop_assert_eq!(a.faults, b.faults);
         prop_assert_eq!(a.retries, b.retries);
     }
@@ -147,12 +147,71 @@ proptest! {
             }
         }
         // Terminal state is consistent with the reported counts.
+        let reported = outcome.count_history.last().expect("a finished run has a round-0 row");
         for (node, words) in outcome.final_words.iter().enumerate() {
             let held: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-            prop_assert!(
-                held >= outcome.final_counts[node],
-                "node {node} reported more rumors than it holds"
-            );
+            prop_assert!(held >= reported[node], "node {node} reported more rumors than it holds");
+        }
+    }
+
+    /// Safety and liveness under partitions and crash-restart windows on
+    /// top of probabilistic faults. Every window closes by round 60, far
+    /// below the round cap, so every run must also complete. The vendored
+    /// proptest does not shrink, so each failure names its schedule as an
+    /// `experiments cluster` command line that replays it.
+    #[test]
+    fn prop_invariants_hold_under_partitions_and_crashes(
+        n in 16usize..33,
+        seed in 0u64..1_000_000,
+        probabilities in (0u32..150, 0u32..200, 0u32..100),
+        nemesis_seed in 0u64..1_000_000,
+        partition in proptest::option::of((0u64..30, 1u64..30)),
+        crashes in prop::collection::vec((0usize..32, 0u64..30, 1u64..30), 0..6),
+    ) {
+        let (drop, delay, duplicate) = probabilities;
+        let mut spec = format!(
+            "drop={},delay={}:3,duplicate={},seed={nemesis_seed}",
+            f64::from(drop) / 1000.0,
+            f64::from(delay) / 1000.0,
+            f64::from(duplicate) / 1000.0,
+        );
+        if let Some((start, len)) = partition {
+            spec += &format!(",partition={start}:{len}");
+        }
+        for &(node, round, downtime) in &crashes {
+            spec += &format!(",crash={}@{round}+{downtime}", node % n);
+        }
+        let case = format!(
+            "experiments cluster --scenario sparse-er --n {n} --seed {seed} --nemesis {spec}"
+        );
+        let scenario = registry::find("sparse-er", n).unwrap();
+        prop_assert_eq!(scenario.topology.num_nodes(), n, "{case}: registry resized");
+        let config = ClusterConfig {
+            policy: RetryPolicy::default(),
+            nemesis: NemesisSpec::parse(&spec).unwrap(),
+        };
+        let outcome = run_cluster(&scenario, seed, &config).unwrap();
+        prop_assert!(outcome.completed, "{case}: stopped by {:?}", outcome.stopped_by);
+        prop_assert!(!outcome.forged, "{case}: a node holds a rumor that never arrived");
+        for node in 0..n {
+            let mut prev = 0u64;
+            for (round, snapshot) in outcome.count_history.iter().enumerate() {
+                prop_assert!(
+                    snapshot[node] >= prev,
+                    "{case}: node {node} coverage regressed at round {round}"
+                );
+                prev = snapshot[node];
+            }
+        }
+        let faults = outcome.faults;
+        let audits = outcome.crash_audits.len() as u64;
+        prop_assert_eq!(faults.crashes, audits, "{case}: one audit per crash");
+        prop_assert!(faults.restarts <= faults.crashes, "{case}: {faults:?}");
+        for audit in &outcome.crash_audits {
+            let node = audit.node as usize;
+            for (w, p) in outcome.final_words[node].iter().zip(&audit.persisted) {
+                prop_assert_eq!(p & !w, 0, "{case}: node {node} lost persisted rumors");
+            }
         }
     }
 }
@@ -298,7 +357,11 @@ fn hostile_runs_are_pinned_exactly() {
         assert_eq!(outcome.retries, p.retries, "seed {seed}: retries");
         assert_eq!(outcome.quorum_advances, p.quorum_advances, "seed {seed}: quorum advances");
         assert_eq!(outcome.faults, p.faults, "seed {seed}: faults");
-        assert_eq!(outcome.final_counts, vec![192; 192], "seed {seed}: final counts");
+        assert_eq!(
+            outcome.count_history.last(),
+            Some(&vec![192; 192]),
+            "seed {seed}: final counts"
+        );
         let coverage: Vec<u64> =
             outcome.count_history.iter().map(|counts| counts.iter().sum()).collect();
         assert_eq!(coverage, p.coverage, "seed {seed}: per-round coverage");

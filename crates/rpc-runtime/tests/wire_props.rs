@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rpc_runtime::wire::{Body, Envelope, WireError};
-use rpc_runtime::{serve, RumorStore, StdioTransport, Transport};
+use rpc_runtime::{serve, RumorStore, StdioTransport};
 
 /// A strategy for short lowercase identifiers (node names, scenario names).
 fn arb_name() -> impl Strategy<Value = String> {

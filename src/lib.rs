@@ -13,13 +13,13 @@
 //! * [`scenarios`] — the declarative scenario engine (topology/protocol/
 //!   environment specs, dynamic churn and message loss, a multi-threaded
 //!   Monte Carlo sweep engine, and a registry of named workloads),
-//! * [`runtime`] — the fault-tolerant node runtime (per-node actors over a
-//!   pluggable transport, a seeded nemesis fault injector, and a retrying
-//!   round synchronizer),
+//! * [`runtime`] — the fault-tolerant node runtime (per-node actors speaking
+//!   JSON lines, a seeded nemesis fault injector, and a retrying round
+//!   synchronizer),
 //! * [`experiments`] — the harness that regenerates every figure and table of
 //!   the paper's evaluation section,
 //! * [`obs`] — the zero-cost observability layer (the `Observer` trait, the
-//!   event taxonomy, trace/aggregation/progress sinks) shared by all of the
+//!   event taxonomy, trace and progress sinks) shared by all of the
 //!   above.
 //!
 //! ## Quickstart
