@@ -5,9 +5,12 @@
 //! overhead compared to the traditional push-pull approach". This module makes
 //! that tuning measurable: a sweep grid over the random-walk probability
 //! (as multiples of the Table 1 value `1/log n`) and the per-round broadcast
-//! length, each cell a [`CellJob::FastTuned`] run.
+//! length, each cell a plain fast-gossiping scenario whose `fast-tuning` key
+//! carries the grid point.
 
-use rpc_scenarios::{CellJob, RepPolicy, SweepReport, SweepSpec};
+use rpc_scenarios::{
+    CellJob, ProtocolSpec, RepPolicy, Scenario, SweepReport, SweepSpec, TopologySpec,
+};
 
 use crate::report::{sweep_table, Table};
 
@@ -24,11 +27,13 @@ pub fn spec(
         .axis("walk_prob_factor", probability_factors.iter().copied())
         .axis("broadcast_steps", broadcast_steps.iter().copied())
         .cells(|point| {
-            Some(CellJob::FastTuned {
-                n: point.parse("n"),
-                walk_probability_factor: point.parse("walk_prob_factor"),
-                broadcast_steps: point.parse("broadcast_steps"),
-            })
+            let topology = TopologySpec::ErdosRenyiPaper { n: point.parse("n") };
+            let scenario = Scenario::builder("ablation", topology)
+                .protocol(ProtocolSpec::FastGossiping)
+                .fast_tuning(point.parse("walk_prob_factor"), point.parse("broadcast_steps"))
+                .build()
+                .expect("ablation values must be a valid fast-tuning");
+            Some(CellJob::scenario(scenario))
         })
         .expect("ablation grid is well-formed")
 }

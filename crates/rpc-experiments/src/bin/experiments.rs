@@ -436,10 +436,17 @@ fn main() -> ExitCode {
 
 /// Runs a subcommand that takes the sweep options. Only a sweep subcommand
 /// empties the trace file: `profile` reads it, and `help` or a mistyped
-/// name must leave it alone. A trace file that cannot be created fails the
+/// name must leave it alone. A trace file that cannot be created, or an
+/// `--only` naming no experiment (which would run nothing), fails the
 /// command before any sweep runs.
 fn run_with_sweep_options(command: &str, opts: &RunOpts) -> CmdResult {
     if let Some(run) = sweep_command(command) {
+        let known = |name: &str| {
+            name == "separation" || SWEEP_EXPERIMENTS.iter().any(|&(known, _)| known == name)
+        };
+        if let Some(unknown) = opts.only.iter().find(|name| !known(name)) {
+            return Err(format!("unknown experiment {unknown}"));
+        }
         if let Some(path) = opts.trace_path() {
             create_trace(&path)?;
         }

@@ -186,6 +186,30 @@ fn commands_that_run_no_sweep_leave_the_trace_file_alone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn unknown_only_names_fail_before_the_trace_is_touched() {
+    let dir = scratch_dir("unknown-only");
+    std::fs::create_dir_all(&dir).expect("scratch dir should be creatable");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(&trace, "{\"ev\":\"kept\"}\n").expect("trace should be writable");
+    for command in ["sweep", "all", "fig1"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([command, "--quick", "--only", "ablatoin", "--out"])
+            .arg(dir.join("out"))
+            .arg("--trace-out")
+            .arg(&trace)
+            .output()
+            .expect("experiments binary should spawn");
+        assert_eq!(output.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("error: unknown experiment ablatoin"), "stderr: {stderr}");
+        let kept = std::fs::read_to_string(&trace).expect("trace should still exist");
+        assert_eq!(kept, "{\"ev\":\"kept\"}\n", "`{command}` rewrote the trace");
+        assert!(!dir.join("out").exists(), "`{command}` wrote output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `informed_nodes` line of `experiments cluster`'s summary.
 fn cluster_informed_nodes(nemesis: &str) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))

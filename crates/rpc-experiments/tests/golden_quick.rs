@@ -3,7 +3,7 @@
 //! The committed files under `tests/golden/quick/` were produced by
 //!
 //! ```text
-//! experiments sweep --quick --only fig1 --only table1 --only scenario --out <dir>
+//! experiments sweep --quick --only fig1 --only table1 --only scenario --only ablation --out <dir>
 //! ```
 //!
 //! and must be reproduced byte for byte: the sweep engine's determinism
@@ -15,7 +15,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const GOLDEN_FILES: [&str; 3] = ["fig1_overhead.csv", "table1_constants.csv", "scenarios.csv"];
+const GOLDEN_FILES: [&str; 4] =
+    ["fig1_overhead.csv", "table1_constants.csv", "scenarios.csv", "ablation_fast_gossiping.csv"];
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join("quick")
@@ -29,6 +30,7 @@ fn sweep_quick_reproduces_the_committed_goldens() {
     }
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["sweep", "--quick", "--only", "fig1", "--only", "table1", "--only", "scenario"])
+        .args(["--only", "ablation"])
         .arg("--out")
         .arg(&out_dir)
         .output()

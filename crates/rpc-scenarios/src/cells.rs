@@ -3,29 +3,29 @@
 //! A sweep cell describes *what* to simulate; [`run_cell`] turns a
 //! `(job, seed)` pair into one [`RepOutcome`] — a flat list of named metric
 //! samples plus the [`StoppedBy`] discriminant — on a caller-provided
-//! [`ScenarioArena`]. Every job kind routes through the scenario executor's
-//! arena-backed stepper path, so sweeps inherit its determinism contract:
-//! the outcome is a pure function of `(job, seed)`, independent of thread
-//! count, batch granularity, or prior arena use.
+//! [`ScenarioArena`]. Every job kind runs on the arena's packed engine, so
+//! sweeps inherit the executor's determinism contract: the outcome is a pure
+//! function of `(job, seed)`, independent of thread count, batch
+//! granularity, or prior arena use.
 //!
-//! Three job kinds cover the paper's experiments:
+//! Two job kinds cover the paper's experiments:
 //!
-//! * [`CellJob::Scenario`] — any declarative [`Scenario`] (topology, protocol,
-//!   loss, churn, crash, stop rule), optionally probed per phase;
-//! * [`CellJob::FastTuned`] — fast-gossiping with the ablation's tuned walk
-//!   probability and broadcast length instead of the Table 1 constants;
+//! * [`CellJob::Scenario`] — any declarative [`Scenario`] (topology,
+//!   protocol with its optional fast-gossiping tuning, loss, churn, crash,
+//!   stop rule), run by [`run_scenario_observed_in`] and optionally probed
+//!   per phase;
 //! * [`CellJob::MemoryFailure`] — the robustness experiments' memory-model
-//!   run with node failures injected between Phase I and Phase II.
+//!   run with node failures injected between Phase I and Phase II, a crash
+//!   at a phase boundary that the scenario grammar does not express.
 
 use rpc_engine::{Engine, PhaseSnapshot};
-use rpc_gossip::{FastGossipingConfig, MemoryGossip, MemoryGossipConfig};
+use rpc_gossip::{MemoryGossip, MemoryGossipConfig};
 use rpc_obs::{CoreRounds, NoopObserver};
 
 use crate::exec::{
-    run_fast_tuned_in, run_scenario_observed_in, scenario_engine_seeds, ScenarioArena,
-    ScenarioOutcome, StoppedBy,
+    run_scenario_observed_in, scenario_engine_seeds, ScenarioArena, ScenarioOutcome, StoppedBy,
 };
-use crate::spec::{ProtocolSpec, Scenario, ScenarioError, TopologySpec};
+use crate::spec::{Scenario, ScenarioError, TopologySpec};
 
 /// What a scenario cell measures beyond the standard outcome metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,22 +46,10 @@ pub enum CellJob {
     /// [`run_scenario_observed_in`].
     Scenario {
         /// The scenario to replicate (boxed: a full `Scenario` with its
-        /// hostile-environment dimensions dwarfs the other variants).
+        /// hostile-environment dimensions dwarfs the other variant).
         scenario: Box<Scenario>,
         /// Whether to additionally capture per-phase metrics.
         probe: Probe,
-    },
-    /// Fast-gossiping on `G(n, log² n / n)` with the Table 1 walk probability
-    /// scaled by `walk_probability_factor` and the per-round broadcast length
-    /// replaced by `broadcast_steps` — the parameter-tuning ablation.
-    FastTuned {
-        /// Graph size.
-        n: usize,
-        /// Multiplier on the Table 1 walk probability `1 / log n` (the
-        /// product is clamped to 1).
-        walk_probability_factor: f64,
-        /// Per-round broadcast steps (Table 1 uses `⌈0.5 log log n⌉`).
-        broadcast_steps: usize,
     },
     /// The memory model on `G(n, log² n / n)` with `failures` uniformly
     /// random healthy nodes crashing between Phase I (tree building) and
@@ -92,7 +80,7 @@ impl CellJob {
     pub fn num_nodes(&self) -> usize {
         match self {
             CellJob::Scenario { scenario, .. } => scenario.num_nodes(),
-            CellJob::FastTuned { n, .. } | CellJob::MemoryFailure { n, .. } => *n,
+            CellJob::MemoryFailure { n, .. } => *n,
         }
     }
 
@@ -101,23 +89,6 @@ impl CellJob {
     pub fn validate(&self) -> Result<(), ScenarioError> {
         match self {
             CellJob::Scenario { .. } => Ok(()),
-            CellJob::FastTuned { n, walk_probability_factor, broadcast_steps } => {
-                if *n == 0 {
-                    return Err(ScenarioError::Invalid("fast-tuned cell has zero nodes".into()));
-                }
-                if !walk_probability_factor.is_finite() || *walk_probability_factor <= 0.0 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "walk probability factor must be finite and positive, got \
-                         {walk_probability_factor}"
-                    )));
-                }
-                if *broadcast_steps == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "broadcast steps must be at least 1".into(),
-                    ));
-                }
-                Ok(())
-            }
             CellJob::MemoryFailure { n, failures, trees } => {
                 if *n == 0 {
                     return Err(ScenarioError::Invalid(
@@ -149,9 +120,6 @@ impl CellJob {
                 };
                 format!("scenario probe={probe}\n{}", scenario.to_text())
             }
-            CellJob::FastTuned { n, walk_probability_factor, broadcast_steps } => {
-                format!("fast-tuned n={n} factor={walk_probability_factor} steps={broadcast_steps}")
-            }
             CellJob::MemoryFailure { n, failures, trees } => {
                 format!("memory-failure n={n} failures={failures} trees={trees}")
             }
@@ -175,22 +143,6 @@ impl RepOutcome {
     /// The sample of one metric, if the repetition produced it.
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics.iter().find(|(m, _)| m == name).map(|&(_, v)| v)
-    }
-}
-
-/// The tuned fast-gossiping configuration of a [`CellJob::FastTuned`] cell:
-/// Table 1 defaults with the walk probability scaled (clamped to 1) and the
-/// broadcast length replaced.
-pub(crate) fn tuned_fast_config(
-    n: usize,
-    factor: f64,
-    broadcast_steps: usize,
-) -> FastGossipingConfig {
-    let baseline = FastGossipingConfig::paper_defaults(n);
-    FastGossipingConfig {
-        walk_probability: (baseline.walk_probability * factor).min(1.0),
-        broadcast_steps,
-        ..baseline
     }
 }
 
@@ -225,26 +177,10 @@ pub fn run_cell_meta(arena: &mut ScenarioArena, job: &CellJob, seed: u64) -> (Re
             let meta = RepMeta { rounds: outcome.rounds, cores: outcome.core_rounds };
             (scenario_rep(scenario.num_nodes(), &outcome, *probe == Probe::Phases), meta)
         }
-        CellJob::FastTuned { n, walk_probability_factor, broadcast_steps } => {
-            let scenario = fast_tuned_scenario(*n);
-            let config = tuned_fast_config(*n, *walk_probability_factor, *broadcast_steps);
-            let outcome = run_fast_tuned_in(arena, &scenario, config, seed, 1);
-            let meta = RepMeta { rounds: outcome.rounds, cores: outcome.core_rounds };
-            (scenario_rep(*n, &outcome, false), meta)
-        }
         CellJob::MemoryFailure { n, failures, trees } => {
             run_memory_failure(arena, *n, *failures, *trees, seed)
         }
     }
-}
-
-/// The implicit scenario of a [`CellJob::FastTuned`] cell: the ablation's
-/// clean `G(n, log² n / n)` run to completion.
-fn fast_tuned_scenario(n: usize) -> Scenario {
-    Scenario::builder("fast-tuned", TopologySpec::ErdosRenyiPaper { n })
-        .protocol(ProtocolSpec::FastGossiping)
-        .build()
-        .expect("the fast-tuned cell scenario must validate")
 }
 
 /// The standard metric vector of a scenario outcome, plus per-rumor
@@ -331,10 +267,21 @@ fn run_memory_failure(
 mod tests {
     use super::*;
     use crate::exec::run_scenario;
-    use crate::spec::StopRule;
+    use crate::spec::{ProtocolSpec, StopRule};
+    use rpc_gossip::FastGossipingConfig;
 
     fn er(n: usize) -> TopologySpec {
         TopologySpec::ErdosRenyiPaper { n }
+    }
+
+    /// A fast-gossiping cell on `G(n, log² n / n)`, with `fast-tuning` when
+    /// `tuning` is given.
+    fn fast_cell(n: usize, tuning: Option<(f64, usize)>) -> CellJob {
+        let mut builder = Scenario::builder("fast", er(n)).protocol(ProtocolSpec::FastGossiping);
+        if let Some((factor, steps)) = tuning {
+            builder = builder.fast_tuning(factor, steps);
+        }
+        CellJob::scenario(builder.build().unwrap())
     }
 
     #[test]
@@ -391,19 +338,14 @@ mod tests {
     }
 
     #[test]
-    fn fast_tuned_cell_with_paper_parameters_matches_the_plain_protocol() {
+    fn tuned_cell_with_paper_parameters_matches_the_plain_protocol() {
         let n = 128;
-        let baseline = FastGossipingConfig::paper_defaults(n);
-        let job = CellJob::FastTuned {
-            n,
-            walk_probability_factor: 1.0,
-            broadcast_steps: baseline.broadcast_steps,
-        };
-        let plain = CellJob::scenario(fast_tuned_scenario(n));
+        let steps = FastGossipingConfig::paper_defaults(n).broadcast_steps;
+        let (tuned, plain) = (fast_cell(n, Some((1.0, steps))), fast_cell(n, None));
         let mut arena = ScenarioArena::default();
         for seed in [1u64, 9, 17] {
             assert_eq!(
-                run_cell(&mut arena, &job, seed),
+                run_cell(&mut arena, &tuned, seed),
                 run_cell(&mut arena, &plain, seed),
                 "factor 1.0 must reproduce the paper configuration at seed {seed}"
             );
@@ -411,18 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_tuned_cells_respond_to_their_parameters() {
+    fn tuned_cells_respond_to_their_parameters() {
         let mut arena = ScenarioArena::default();
-        let base = run_cell(
-            &mut arena,
-            &CellJob::FastTuned { n: 256, walk_probability_factor: 1.0, broadcast_steps: 2 },
-            5,
-        );
-        let heavy = run_cell(
-            &mut arena,
-            &CellJob::FastTuned { n: 256, walk_probability_factor: 4.0, broadcast_steps: 2 },
-            5,
-        );
+        let base = run_cell(&mut arena, &fast_cell(256, Some((1.0, 2))), 5);
+        let heavy = run_cell(&mut arena, &fast_cell(256, Some((4.0, 2))), 5);
         assert_ne!(base, heavy, "a 4x walk probability must change the measurements");
         assert_eq!(base.metric("completed"), Some(1.0));
         assert_eq!(heavy.metric("completed"), Some(1.0));
@@ -456,7 +390,7 @@ mod tests {
                     .build()
                     .unwrap(),
             ),
-            CellJob::FastTuned { n: 96, walk_probability_factor: 2.0, broadcast_steps: 1 },
+            fast_cell(96, Some((2.0, 1))),
             CellJob::MemoryFailure { n: 96, failures: 8, trees: 2 },
         ];
         let mut shared = ScenarioArena::default();
@@ -471,22 +405,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_jobs() {
-        assert!(CellJob::FastTuned { n: 0, walk_probability_factor: 1.0, broadcast_steps: 1 }
-            .validate()
-            .is_err());
-        assert!(CellJob::FastTuned { n: 64, walk_probability_factor: 0.0, broadcast_steps: 1 }
-            .validate()
-            .is_err());
-        assert!(CellJob::FastTuned {
-            n: 64,
-            walk_probability_factor: f64::NAN,
-            broadcast_steps: 1
-        }
-        .validate()
-        .is_err());
-        assert!(CellJob::FastTuned { n: 64, walk_probability_factor: 1.0, broadcast_steps: 0 }
-            .validate()
-            .is_err());
         assert!(CellJob::MemoryFailure { n: 64, failures: 65, trees: 1 }.validate().is_err());
         assert!(CellJob::MemoryFailure { n: 64, failures: 4, trees: 0 }.validate().is_err());
         assert!(CellJob::MemoryFailure { n: 64, failures: 4, trees: 3 }.validate().is_ok());
@@ -494,11 +412,12 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_jobs() {
-        let a = CellJob::FastTuned { n: 64, walk_probability_factor: 1.0, broadcast_steps: 2 };
-        let b = CellJob::FastTuned { n: 64, walk_probability_factor: 2.0, broadcast_steps: 2 };
+        let a = fast_cell(64, Some((1.0, 2)));
+        let b = fast_cell(64, Some((2.0, 2)));
         let c = CellJob::MemoryFailure { n: 64, failures: 4, trees: 3 };
         assert_ne!(a.fingerprint_text(), b.fingerprint_text());
         assert_ne!(a.fingerprint_text(), c.fingerprint_text());
+        assert_ne!(a.fingerprint_text(), fast_cell(64, None).fingerprint_text());
         let s = CellJob::scenario(Scenario::builder("x", er(64)).build().unwrap());
         let p = CellJob::scenario_with_phases(Scenario::builder("x", er(64)).build().unwrap());
         assert_ne!(s.fingerprint_text(), p.fingerprint_text());

@@ -24,14 +24,17 @@
 //!
 //! ## Five entry points, one core
 //!
-//! Every entry point is a one-line wrapper over one private execution core,
-//! generic over [`rpc_engine::Engine`] and [`Observer`]:
+//! Every scenario run, the sweep's scenario cells included, goes through one
+//! private execution core, generic over [`rpc_engine::Engine`] and
+//! [`Observer`]; it alone turns the protocol spec (with a fast-gossiping
+//! scenario's `fast-tuning`) into a driver. The entry points differ only in
+//! the engine they set up:
 //!
 //! * [`run_scenario_observed_in`] — the packed, word-parallel production
-//!   [`Simulation`], checked out of a reusable [`ScenarioArena`], with any
-//!   observer attached;
-//! * [`run_scenario`] / [`run_scenario_traced`] — the same packed path on a
-//!   fresh default arena;
+//!   [`rpc_engine::Simulation`], checked out of a reusable [`ScenarioArena`],
+//!   with any observer attached;
+//! * [`run_scenario`] / [`run_scenario_traced`] — one-line wrappers running
+//!   the same packed path on a fresh default arena;
 //! * [`run_scenario_unpacked`] / [`run_scenario_unpacked_traced`] — the
 //!   [`UnpackedSimulation`] oracle (`Vec<bool>` bookkeeping, O(n) scans).
 //!
@@ -71,7 +74,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use rpc_engine::{
-    derive_seed, sample_failures, sample_from_pool, Engine, MessageId, PhaseSnapshot, Simulation,
+    derive_seed, sample_failures, sample_from_pool, Engine, MessageId, PhaseSnapshot,
     SimulationArena, UnpackedSimulation,
 };
 use rpc_gossip::{
@@ -430,6 +433,10 @@ pub fn run_scenario_traced(
 /// counters). [`run_scenario`] and [`run_scenario_traced`] are this path on
 /// a fresh default arena.
 ///
+/// The packed set-up: generate the graph into the arena's buffers, check a
+/// simulation out of the arena (classic, or streaming over the injection
+/// spec's rumor universe), run the execution core on it, recycle.
+///
 /// The zero-cost contract: with [`NoopObserver`] every event construction is
 /// dead code, and with *any* observer the outcome is bit-identical to the
 /// unobserved run — observers are write-only sinks outside every seeded path
@@ -441,7 +448,23 @@ pub fn run_scenario_observed_in<O: Observer>(
     threads: usize,
     obs: &mut O,
 ) -> ScenarioOutcome {
-    run_packed(arena, scenario, seed, threads, obs, |sim, obs| run_core(scenario, seed, sim, obs))
+    let (graph_seed, run_seed) = scenario_engine_seeds(seed);
+    let ScenarioArena { graph, sim } = arena;
+    scenario.topology.build().generate_into(graph_seed, graph);
+    let mut engine = match &scenario.injection {
+        Some(inj) => sim.checkout_streaming(graph.graph(), run_seed, inj.rumors),
+        None => sim.checkout(graph.graph(), run_seed),
+    }
+    .with_threads(threads);
+    let outcome = run_core(scenario, seed, &mut engine, obs);
+    if O::ENABLED {
+        obs.record(&ObsEvent::Pool { stats: engine.pool_stats() });
+    }
+    sim.recycle(engine);
+    if O::ENABLED {
+        obs.record(&ObsEvent::Arena { graph: graph.stats(), sim: sim.stats() });
+    }
+    outcome
 }
 
 /// Runs one replication on the unpacked reference oracle
@@ -468,59 +491,7 @@ fn traced(
     (run(&mut trace), trace)
 }
 
-/// Runs one replication of `scenario` through `arena`, but with fast-gossiping
-/// driven by an explicit [`FastGossipingConfig`] instead of the paper
-/// defaults. The sweep engine's ablation cells use this to tune walk
-/// probability and broadcast length while keeping the scenario machinery
-/// (environment schedule, stop rules, seed derivation) byte-for-byte the same
-/// as [`run_scenario_observed_in`]; with
-/// `config == FastGossipingConfig::paper_defaults(n)` the result is identical
-/// to a `ProtocolSpec::FastGossiping` scenario run. `scenario.protocol` is not
-/// consulted: the run always drives fast-gossiping.
-pub(crate) fn run_fast_tuned_in(
-    arena: &mut ScenarioArena,
-    scenario: &Scenario,
-    config: FastGossipingConfig,
-    seed: u64,
-    threads: usize,
-) -> ScenarioOutcome {
-    run_packed(arena, scenario, seed, threads, &mut NoopObserver, |sim, obs| {
-        let mut driver = FastGossipingDriver::new(FastGossiping::new(config), scenario.num_nodes());
-        run_driver(scenario, seed, sim, &mut driver, obs)
-    })
-}
-
-/// The packed set-up: generate the graph into the arena's buffers, check a
-/// simulation out of the arena (classic, or streaming over the injection
-/// spec's rumor universe), `run` it, recycle.
-fn run_packed<O: Observer>(
-    arena: &mut ScenarioArena,
-    scenario: &Scenario,
-    seed: u64,
-    threads: usize,
-    obs: &mut O,
-    run: impl FnOnce(&mut Simulation<'_>, &mut O) -> ScenarioOutcome,
-) -> ScenarioOutcome {
-    let (graph_seed, run_seed) = scenario_engine_seeds(seed);
-    let ScenarioArena { graph, sim } = arena;
-    scenario.topology.build().generate_into(graph_seed, graph);
-    let mut engine = match &scenario.injection {
-        Some(inj) => sim.checkout_streaming(graph.graph(), run_seed, inj.rumors),
-        None => sim.checkout(graph.graph(), run_seed),
-    }
-    .with_threads(threads);
-    let outcome = run(&mut engine, obs);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Pool { stats: engine.pool_stats() });
-    }
-    sim.recycle(engine);
-    if O::ENABLED {
-        obs.record(&ObsEvent::Arena { graph: graph.stats(), sim: sim.stats() });
-    }
-    outcome
-}
-
-/// The oracle set-up, mirroring [`run_packed`] on fresh storage.
+/// The oracle set-up: [`run_scenario_observed_in`]'s on fresh storage.
 fn run_unpacked<O: Observer>(scenario: &Scenario, seed: u64, obs: &mut O) -> ScenarioOutcome {
     let (graph_seed, run_seed) = scenario_engine_seeds(seed);
     let graph = scenario.topology.build().generate(graph_seed);
@@ -532,8 +503,9 @@ fn run_unpacked<O: Observer>(scenario: &Scenario, seed: u64, obs: &mut O) -> Sce
 }
 
 /// The engine-generic execution core behind the public entry points above.
-/// Instantiates the protocol's resumable driver with its paper constants —
-/// protocol dispatch ends here — and hands it to [`run_driver`].
+/// Instantiates the protocol's resumable driver with its paper constants (or
+/// the scenario's [`crate::spec::FastTuning`]) — protocol dispatch ends here —
+/// and hands it to [`run_driver`].
 fn run_core<E: Engine, O: Observer>(
     scenario: &Scenario,
     seed: u64,
@@ -547,7 +519,11 @@ fn run_core<E: Engine, O: Observer>(
             run_driver(scenario, seed, sim, &mut PushPullDriver::new(max_rounds), obs)
         }
         ProtocolSpec::FastGossiping => {
-            let config = FastGossipingConfig::paper_defaults(n);
+            let mut config = FastGossipingConfig::paper_defaults(n);
+            if let Some(tuning) = scenario.fast_tuning {
+                config.walk_probability = (config.walk_probability * tuning.walk_factor).min(1.0);
+                config.broadcast_steps = tuning.broadcast_steps;
+            }
             let mut driver = FastGossipingDriver::new(FastGossiping::new(config), n);
             run_driver(scenario, seed, sim, &mut driver, obs)
         }
@@ -1160,6 +1136,7 @@ mod tests {
     use super::*;
     use crate::spec::{InjectionEntry, TopologySpec};
     use proptest::prelude::*;
+    use rpc_engine::Simulation;
     use rpc_gossip::BroadcastMode;
 
     fn er(n: usize) -> TopologySpec {

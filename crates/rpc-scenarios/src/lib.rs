@@ -28,9 +28,9 @@
 //!   Byzantine senders), multi-rumor streaming (Poisson arrivals, hotspot
 //!   bursts, TTL expiry, streaming under fire), the broadcast baselines and
 //!   leader election;
-//! * [`cells`] — the unit of sweep work: a [`CellJob`] (scenario, tuned
-//!   fast-gossiping, or memory-model-with-failures) measured into named
-//!   metric samples by [`run_cell`];
+//! * [`cells`] — the unit of sweep work: a [`CellJob`] (scenario or
+//!   memory-model-with-failures) measured into named metric samples by
+//!   [`run_cell`];
 //! * [`sweep`] — the adaptive sweep engine: a declarative [`SweepSpec`]
 //!   (grid of axes × repetition policy) executed by [`SweepRunner`] on a
 //!   crossbeam worker pool (one [`ScenarioArena`] per worker) with CI-based
@@ -77,9 +77,9 @@ pub use exec::{
     RumorStats, RuntimePlan, ScenarioArena, ScenarioOutcome, ScenarioTrace, StoppedBy,
 };
 pub use spec::{
-    zone_members, zone_of, ChurnSpec, CrashSpec, EdgeChurnSpec, EnvironmentSpec, InjectPattern,
-    InjectionEntry, InjectionSpec, LossBurstSpec, ProtocolSpec, Scenario, ScenarioBuilder,
-    ScenarioError, StartPlacement, StopRule, TopologySpec,
+    zone_members, zone_of, ChurnSpec, CrashSpec, EdgeChurnSpec, EnvironmentSpec, FastTuning,
+    InjectPattern, InjectionEntry, InjectionSpec, LossBurstSpec, ProtocolSpec, Scenario,
+    ScenarioBuilder, ScenarioError, StartPlacement, StopRule, TopologySpec,
 };
 pub use stats::{summarize, SummaryStats};
 pub use sweep::{

@@ -20,10 +20,13 @@
 //! name = churn-heavy
 //! topology = erdos-renyi      # erdos-renyi | random-regular | complete
 //! n = 1024
-//! degree = 100                # optional; omitted = paper density log^2 n
+//! degree = 100                # erdos-renyi/random-regular only; omitted =
+//!                             # paper density log^2 n
 //! protocol = push-pull        # push-pull | fast-gossiping | memory |
 //!                             # broadcast-push | broadcast-push-pull |
 //!                             # leader-election
+//! fast-tuning = 2:1           # walk-factor:broadcast-steps, fast-gossiping
+//!                             # only, default Table 1's constants
 //! loss = 0.05                 # per-packet loss probability, default 0
 //! loss-burst = 4:6:0.5        # start:len:prob, repeatable, default none
 //! churn = 0.1:4:8             # fraction:period:downtime, default none
@@ -54,10 +57,10 @@
 //! blank-line = ws? comment? newline ;          (* comment-only lines do NOT
 //!                                                 separate blocks *)
 //!
-//! key        = "name" | "topology" | "n" | "degree" | "protocol" | "loss"
-//!            | "loss-burst" | "churn" | "crash" | "zones" | "edge-churn"
-//!            | "byzantine" | "rumors" | "inject" | "rumor-ttl" | "start"
-//!            | "stop" | "max-rounds" ;
+//! key        = "name" | "topology" | "n" | "degree" | "protocol"
+//!            | "fast-tuning" | "loss" | "loss-burst" | "churn" | "crash"
+//!            | "zones" | "edge-churn" | "byzantine" | "rumors" | "inject"
+//!            | "rumor-ttl" | "start" | "stop" | "max-rounds" ;
 //!
 //! value      =                                 (* per key: *)
 //!     ⟨name⟩     : string                      (* non-empty after trimming;
@@ -65,11 +68,21 @@
 //!                                                 line breaks *)
 //!   | ⟨topology⟩ : "erdos-renyi" | "random-regular" | "complete"
 //!   | ⟨n⟩        : uint                        (* required, > 0 *)
-//!   | ⟨degree⟩   : float                       (* for random-regular: a
-//!                                                 positive integer *)
+//!   | ⟨degree⟩   : float                       (* erdos-renyi and
+//!                                                 random-regular only; for
+//!                                                 random-regular a positive
+//!                                                 integer *)
 //!   | ⟨protocol⟩ : "push-pull" | "fast-gossiping" | "memory"
 //!                | "broadcast-push" | "broadcast-push-pull"
 //!                | "leader-election"
+//!   | ⟨fast-tuning⟩ : float ":" uint           (* walk-factor:broadcast-
+//!                                                 steps; fast-gossiping
+//!                                                 only. The factor (finite,
+//!                                                 > 0) multiplies the walk
+//!                                                 probability 1/log n, the
+//!                                                 product clamped to 1; the
+//!                                                 steps (≥ 1) replace
+//!                                                 ⌈0.5 log log n⌉ *)
 //!   | ⟨loss⟩     : float                       (* in [0, 1) *)
 //!   | ⟨loss-burst⟩ : uint ":" uint ":" float   (* start:len:prob; the only
 //!                                                 repeatable key — each
@@ -267,6 +280,18 @@ impl ProtocolSpec {
     pub fn is_broadcast(&self) -> bool {
         matches!(self, ProtocolSpec::BroadcastPush | ProtocolSpec::BroadcastPushPull)
     }
+}
+
+/// Tuned fast-gossiping constants (the `fast-tuning` key): the two Phase II
+/// knobs of the parameter-tuning ablation, replacing their Table 1 values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FastTuning {
+    /// Multiplier on the walk probability `1 / log n` (finite, > 0); the
+    /// product is clamped to 1.
+    pub walk_factor: f64,
+    /// Broadcast steps per Phase II round (≥ 1), replacing
+    /// `⌈0.5 log log n⌉`.
+    pub broadcast_steps: usize,
 }
 
 /// Periodic churn: every `period` rounds a fresh uniformly random set of
@@ -529,6 +554,9 @@ pub struct Scenario {
     pub topology: TopologySpec,
     /// Gossiping protocol.
     pub protocol: ProtocolSpec,
+    /// Tuned constants for [`ProtocolSpec::FastGossiping`]; `None` runs
+    /// Table 1's.
+    pub fast_tuning: Option<FastTuning>,
     /// Loss / churn / crash / placement conditions.
     pub environment: EnvironmentSpec,
     /// Multi-rumor streaming workload, if any. `None` is the classic
@@ -558,6 +586,7 @@ impl Scenario {
             name: name.into(),
             topology,
             protocol: ProtocolSpec::default(),
+            fast_tuning: None,
             environment: EnvironmentSpec::default(),
             injection: None,
             rumor_ttl: None,
@@ -592,6 +621,12 @@ impl Scenario {
             }
         }
         out.push_str(&format!("protocol = {}\n", self.protocol.name()));
+        if let Some(tuning) = self.fast_tuning {
+            out.push_str(&format!(
+                "fast-tuning = {}:{}\n",
+                tuning.walk_factor, tuning.broadcast_steps
+            ));
+        }
         if self.environment.loss > 0.0 {
             out.push_str(&format!("loss = {}\n", self.environment.loss));
         }
@@ -662,6 +697,7 @@ impl Scenario {
         let mut n = None;
         let mut degree: Option<f64> = None;
         let mut protocol = ProtocolSpec::default();
+        let mut fast_tuning = None;
         let mut environment = EnvironmentSpec::default();
         let mut rumors: Option<usize> = None;
         let mut inject_pattern: Option<InjectPattern> = None;
@@ -696,6 +732,17 @@ impl Scenario {
                             return Err(ScenarioError::Parse(format!("unknown protocol: {other}")))
                         }
                     }
+                }
+                "fast-tuning" => {
+                    let (factor, steps) = value.split_once(':').ok_or_else(|| {
+                        ScenarioError::Parse(format!(
+                            "fast-tuning must be walk-factor:broadcast-steps, got {value}"
+                        ))
+                    })?;
+                    fast_tuning = Some(FastTuning {
+                        walk_factor: parse_num::<f64>("fast-tuning walk factor", factor)?,
+                        broadcast_steps: parse_num::<usize>("fast-tuning broadcast steps", steps)?,
+                    });
                 }
                 "loss" => environment.loss = parse_num::<f64>("loss", value)?,
                 "loss-burst" => {
@@ -871,6 +918,9 @@ impl Scenario {
                 }
                 TopologySpec::RandomRegular { n, degree: d as usize }
             }
+            Some("complete") if degree.is_some() => {
+                return Err(ScenarioError::Parse("the complete topology takes no degree".into()));
+            }
             Some("complete") => TopologySpec::Complete { n },
             Some(other) => return Err(ScenarioError::Parse(format!("unknown topology: {other}"))),
         };
@@ -895,6 +945,7 @@ impl Scenario {
 
         let mut builder = Scenario::builder(name, topology);
         builder.protocol = protocol;
+        builder.fast_tuning = fast_tuning;
         builder.environment = environment;
         builder.injection = injection;
         builder.stop = stop;
@@ -941,6 +992,7 @@ pub struct ScenarioBuilder {
     name: String,
     topology: TopologySpec,
     protocol: ProtocolSpec,
+    fast_tuning: Option<FastTuning>,
     environment: EnvironmentSpec,
     injection: Option<InjectionSpec>,
     rumor_ttl: Option<u64>,
@@ -952,6 +1004,13 @@ impl ScenarioBuilder {
     /// Selects the protocol (default push-pull).
     pub fn protocol(mut self, protocol: ProtocolSpec) -> Self {
         self.protocol = protocol;
+        self
+    }
+
+    /// Tunes fast-gossiping's walk probability and broadcast length (see
+    /// [`FastTuning`]); requires [`ProtocolSpec::FastGossiping`].
+    pub fn fast_tuning(mut self, walk_factor: f64, broadcast_steps: usize) -> Self {
+        self.fast_tuning = Some(FastTuning { walk_factor, broadcast_steps });
         self
     }
 
@@ -1104,6 +1163,20 @@ impl ScenarioBuilder {
             if degree >= n {
                 return Err(ScenarioError::Invalid(format!(
                     "random-regular degree {degree} must be below n = {n}"
+                )));
+            }
+        }
+        if let Some(FastTuning { walk_factor, broadcast_steps }) = self.fast_tuning {
+            if self.protocol != ProtocolSpec::FastGossiping {
+                return Err(ScenarioError::Invalid(format!(
+                    "fast-tuning requires the fast-gossiping protocol, not {}",
+                    self.protocol.name()
+                )));
+            }
+            if !(walk_factor.is_finite() && walk_factor > 0.0 && broadcast_steps >= 1) {
+                return Err(ScenarioError::Invalid(format!(
+                    "fast-tuning needs a finite positive walk factor and at least one \
+                     broadcast step, got {walk_factor}:{broadcast_steps}"
                 )));
             }
         }
@@ -1307,6 +1380,7 @@ impl ScenarioBuilder {
             name: self.name,
             topology: self.topology,
             protocol: self.protocol,
+            fast_tuning: self.fast_tuning,
             environment: self.environment,
             injection,
             stop: self.stop,
@@ -1613,6 +1687,52 @@ mod tests {
             Scenario::parse_str("name = x\nn = 32\nstop = never"),
             Err(ScenarioError::Parse(_))
         ));
+        // A key the topology or protocol would ignore is an error, not
+        // dropped from the round trip.
+        assert!(matches!(
+            Scenario::parse_str("name = x\ntopology = complete\nn = 64\ndegree = 5"),
+            Err(ScenarioError::Parse(_))
+        ));
+        for protocol in ["push-pull", "memory"] {
+            match Scenario::parse_str(&format!(
+                "name = x\nn = 64\nprotocol = {protocol}\nfast-tuning = 2:1"
+            )) {
+                Err(ScenarioError::Invalid(msg)) => {
+                    assert!(msg.contains("fast-tuning") && msg.contains(protocol), "got: {msg}");
+                }
+                other => panic!("expected fast-tuning on {protocol} to be invalid, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fast_tuning_roundtrips_and_rejects_degenerate_values() {
+        let base = |n| {
+            Scenario::builder("x", TopologySpec::ErdosRenyiPaper { n })
+                .protocol(ProtocolSpec::FastGossiping)
+        };
+        let tuned = base(64).fast_tuning(0.5, 3).build().unwrap();
+        assert!(tuned.to_text().contains("fast-tuning = 0.5:3\n"), "{}", tuned.to_text());
+        assert_eq!(Scenario::parse_str(&tuned.to_text()).unwrap(), tuned);
+        assert!(!base(64).build().unwrap().to_text().contains("fast-tuning"));
+        for (factor, steps) in [(0.0, 1), (-1.0, 1), (f64::NAN, 1), (f64::INFINITY, 1), (1.0, 0)] {
+            assert!(
+                matches!(
+                    base(64).fast_tuning(factor, steps).build(),
+                    Err(ScenarioError::Invalid(_))
+                ),
+                "accepted fast-tuning {factor}:{steps}"
+            );
+        }
+        assert!(base(0).fast_tuning(1.0, 1).build().is_err());
+        for value in ["2", "2:1:3", "a:1", "2:-1", "2:1.5", ":1"] {
+            let text =
+                format!("name = x\nn = 64\nprotocol = fast-gossiping\nfast-tuning = {value}");
+            assert!(
+                matches!(Scenario::parse_str(&text), Err(ScenarioError::Parse(_))),
+                "accepted fast-tuning = {value}"
+            );
+        }
     }
 
     #[test]

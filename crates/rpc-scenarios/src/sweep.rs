@@ -560,8 +560,8 @@ impl SweepReport {
             write!(
                 out,
                 "}},\"stopped\":{{\"complete\":{},\"round_budget\":{},\"coverage\":{},\
-                 \"max_rounds\":{}}},\"metrics\":{{",
-                s.complete, s.round_budget, s.coverage, s.max_rounds
+                 \"all_rumors\":{},\"max_rounds\":{}}},\"metrics\":{{",
+                s.complete, s.round_budget, s.coverage, s.all_rumors, s.max_rounds
             )
             .unwrap();
             for (j, m) in cell.metrics.iter().enumerate() {
@@ -1154,7 +1154,7 @@ fn finalize(cell: &SpecCell, samples: &[RepOutcome], budget_exhausted: bool) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Scenario, TopologySpec};
+    use crate::spec::{Scenario, StopRule, TopologySpec};
 
     fn tiny_job(n: usize) -> CellJob {
         CellJob::scenario(
@@ -1423,6 +1423,27 @@ mod tests {
         assert!(json.contains("\"rounds\""));
         assert_eq!(json.matches("\"axes\"").count(), 1);
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    }
+
+    #[test]
+    fn report_json_stop_counts_sum_to_reps_for_a_streaming_cell() {
+        let streaming = Scenario::builder("stream", TopologySpec::ErdosRenyiPaper { n: 64 })
+            .inject_poisson(8, 1.0)
+            .stop(StopRule::AllRumors)
+            .build()
+            .unwrap();
+        let mut spec = SweepSpec::new("stream", 3, RepPolicy::fixed(3));
+        spec.push_cell(vec![("n".to_string(), "64".to_string())], CellJob::scenario(streaming))
+            .unwrap();
+        let report = SweepRunner::new().with_threads(1).run(&spec);
+        let json = report.to_json();
+        let stopped = json.split("\"stopped\":{").nth(1).and_then(|rest| rest.split('}').next());
+        let stopped = stopped.expect("the report carries a stopped object");
+        let total: usize = stopped
+            .split(',')
+            .map(|field| field.split_once(':').and_then(|(_, n)| n.parse::<usize>().ok()).unwrap())
+            .sum();
+        assert_eq!(total, report.cells[0].reps, "stop counts {{{stopped}}} miss repetitions");
     }
 
     #[test]

@@ -282,8 +282,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 fn full_scenario_strategy() -> impl Strategy<Value = Scenario> {
-    (0usize..1_000_000, 48usize..128, 0u8..3, env_strategy(), (0u8..3, 0u8..3, 1u64..40)).prop_map(
-        |(name_idx, n, protocol_pick, env, (placement_pick, stop_pick, rounds))| {
+    let tuning = proptest::option::of((0.25f64..8.0, 1usize..5));
+    let knobs = (0u8..3, 0u8..3, 1u64..40, tuning);
+    (0usize..1_000_000, 48usize..128, 0u8..3, env_strategy(), knobs).prop_map(
+        |(name_idx, n, protocol_pick, env, (placement_pick, stop_pick, rounds, tuning))| {
             let name = format!("scn-{name_idx}");
             let protocol = match protocol_pick {
                 0 => ProtocolSpec::PushPull,
@@ -300,7 +302,12 @@ fn full_scenario_strategy() -> impl Strategy<Value = Scenario> {
                 1 => StopRule::Rounds(rounds),
                 _ => StopRule::Coverage(0.05 + (rounds as f64) / 50.0),
             };
-            env.apply(Scenario::builder(&name, TopologySpec::ErdosRenyiPaper { n }), n)
+            let mut builder =
+                env.apply(Scenario::builder(&name, TopologySpec::ErdosRenyiPaper { n }), n);
+            if let (ProtocolSpec::FastGossiping, Some((factor, steps))) = (protocol, tuning) {
+                builder = builder.fast_tuning(factor, steps);
+            }
+            builder
                 .protocol(protocol)
                 .placement(placement)
                 .stop(stop)

@@ -1,13 +1,15 @@
 //! Scenario text is a total input surface.
 //!
 //! Every text the grammar accepts either fails with a [`ScenarioError`] or
-//! yields a scenario that round-trips and runs cleanly — never a panic:
+//! yields a scenario that round-trips and runs cleanly — never a panic. The
+//! corpus is the registry's scenario texts plus one tuned fast-gossiping
+//! text (no registry scenario sets `fast-tuning`):
 //!
-//! 1. truncating a registry scenario's text at any char boundary, or
-//!    replacing any one of its bytes, gives `Err` or a scenario that
-//!    round-trips through [`Scenario::parse_str`];
-//! 2. setting any numeric field of a registry scenario to `u64::MAX` gives
-//!    `Err` or a run that ends within its round cap. Event ends past
+//! 1. truncating a corpus text at any char boundary, or replacing any one of
+//!    its bytes, gives `Err` or a scenario that round-trips through
+//!    [`Scenario::parse_str`];
+//! 2. setting any numeric field of a corpus text to `u64::MAX` gives `Err`
+//!    or a run that ends within its round cap. Event ends past
 //!    `u64::MAX` saturate and never fire, so a saturated TTL or churn
 //!    downtime behaves exactly like one past the run's horizon.
 
@@ -22,6 +24,16 @@ const N: usize = 64;
 /// The largest scenario a mutant may have and still be run.
 const MAX_RUN_SIZE: usize = 4096;
 
+/// The texts every check mutates.
+fn corpus() -> Vec<String> {
+    let tuned = Scenario::builder("tuned", TopologySpec::ErdosRenyiPaper { n: N })
+        .protocol(ProtocolSpec::FastGossiping)
+        .fast_tuning(2.5, 3)
+        .build()
+        .expect("tuned scenario is valid");
+    registry::builtin(N).iter().chain([&tuned]).map(Scenario::to_text).collect()
+}
+
 /// `Err`, or a scenario equal to its own text round trip.
 fn assert_total(text: &str) {
     if let Ok(scenario) = Scenario::parse_str(text) {
@@ -34,8 +46,7 @@ fn assert_total(text: &str) {
 fn truncated_and_mutated_registry_texts_are_err_or_round_trip() {
     // Printable ASCII plus the line structure's whitespace.
     let bytes: Vec<u8> = (32u8..127).chain([b'\n', b'\t']).collect();
-    for scenario in registry::builtin(N) {
-        let text = scenario.to_text();
+    for text in corpus() {
         for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
             assert_total(&text[..cut]);
         }
@@ -84,8 +95,7 @@ fn every_numeric_field_at_u64_max_is_err_or_a_clean_run() {
     let max = u64::MAX.to_string();
     let mut fields_checked = 0;
     let mut failures = Vec::new();
-    for scenario in registry::builtin(N) {
-        let text = scenario.to_text();
+    for text in corpus() {
         for field in numeric_fields(&text) {
             let mutated = format!("{}{max}{}", &text[..field.start], &text[field.end..]);
             fields_checked += 1;

@@ -118,9 +118,10 @@ proptest! {
         prop_assert_eq!(&run_scenario_unpacked(&scenario, seed), &unpacked);
     }
 
-    /// Random phase-based (fast-gossiping / memory) scenarios under hostile
-    /// environments and **all three stop rules**: outcomes, per-round traces
-    /// and phase traces must be identical on both engines.
+    /// Random phase-based (fast-gossiping, optionally tuned, / memory)
+    /// scenarios under hostile environments and **all three stop rules**:
+    /// outcomes, per-round traces and phase traces must be identical on both
+    /// engines.
     #[test]
     fn random_phase_scenarios_trace_identically(
         n in 24usize..80,
@@ -132,6 +133,7 @@ proptest! {
         stop in 0u8..3,
         coverage in 0.3f64..1.0,
         budget in 1u64..60,
+        tuning in proptest::option::of((0.25f64..8.0, 1usize..5)),
     ) {
         let protocol = if protocol_pick == 0 {
             ProtocolSpec::FastGossiping
@@ -151,6 +153,9 @@ proptest! {
         }
         if let Some((fraction, period, downtime)) = churn {
             builder = builder.churn(fraction, period, downtime);
+        }
+        if let (ProtocolSpec::FastGossiping, Some((factor, steps))) = (protocol, tuning) {
+            builder = builder.fast_tuning(factor, steps);
         }
         let scenario = builder.build().unwrap();
         let (packed, packed_trace) = run_scenario_traced(&scenario, seed, 2);
