@@ -273,7 +273,7 @@ impl<'g> UnpackedSimulation<'g> {
     }
 
     /// The pre-optimization masked sampling: rejection sampling over the raw
-    /// neighbor slice, then a materialized filtered list. The draw sequence
+    /// neighbor list, then a materialized filtered list. The draw sequence
     /// (32 attempts, then one draw over the eligible count) is identical to
     /// `Graph::random_neighbor_masked` on the packed presence words.
     fn random_neighbor_masked(&mut self, v: NodeId) -> Option<NodeId> {
@@ -282,13 +282,12 @@ impl<'g> UnpackedSimulation<'g> {
             return None;
         }
         for _ in 0..32 {
-            let candidate = nbrs[self.rng.gen_range(0..nbrs.len())];
+            let candidate = nbrs.get(self.rng.gen_range(0..nbrs.len()));
             if self.present[candidate as usize] {
                 return Some(candidate);
             }
         }
-        let pool: Vec<NodeId> =
-            nbrs.iter().copied().filter(|&u| self.present[u as usize]).collect();
+        let pool: Vec<NodeId> = nbrs.iter().filter(|&u| self.present[u as usize]).collect();
         if pool.is_empty() {
             None
         } else {
@@ -303,16 +302,13 @@ impl<'g> UnpackedSimulation<'g> {
             return None;
         }
         for _ in 0..32 {
-            let candidate = nbrs[self.rng.gen_range(0..nbrs.len())];
+            let candidate = nbrs.get(self.rng.gen_range(0..nbrs.len()));
             if self.present[candidate as usize] && !avoid.contains(&candidate) {
                 return Some(candidate);
             }
         }
-        let pool: Vec<NodeId> = nbrs
-            .iter()
-            .copied()
-            .filter(|&u| self.present[u as usize] && !avoid.contains(&u))
-            .collect();
+        let pool: Vec<NodeId> =
+            nbrs.iter().filter(|&u| self.present[u as usize] && !avoid.contains(&u)).collect();
         if pool.is_empty() {
             None
         } else {
@@ -324,7 +320,7 @@ impl<'g> UnpackedSimulation<'g> {
     /// the eligibility predicate also requires the candidate's CSR edge slot
     /// to be up, and the node (presence) mask only participates while churn
     /// is active (`use_node_mask`). Draw sequence: 32 rejection attempts over
-    /// the raw neighbor slice, then one draw over the eligible pool.
+    /// the raw neighbor list, then one draw over the eligible pool.
     fn random_neighbor_edge_masked(&mut self, v: NodeId, use_node_mask: bool) -> Option<NodeId> {
         let nbrs = self.graph.neighbors(v);
         if nbrs.is_empty() {
@@ -333,7 +329,7 @@ impl<'g> UnpackedSimulation<'g> {
         let base = self.graph.edge_slot_range(v).start;
         for _ in 0..32 {
             let i = self.rng.gen_range(0..nbrs.len());
-            let candidate = nbrs[i];
+            let candidate = nbrs.get(i);
             if self.edge_up[base + i] && (!use_node_mask || self.present[candidate as usize]) {
                 return Some(candidate);
             }
@@ -341,10 +337,10 @@ impl<'g> UnpackedSimulation<'g> {
         let pool: Vec<NodeId> = nbrs
             .iter()
             .enumerate()
-            .filter(|&(i, &u)| {
+            .filter(|&(i, u)| {
                 self.edge_up[base + i] && (!use_node_mask || self.present[u as usize])
             })
-            .map(|(_, &u)| u)
+            .map(|(_, u)| u)
             .collect();
         if pool.is_empty() {
             None
@@ -368,7 +364,7 @@ impl<'g> UnpackedSimulation<'g> {
         let base = self.graph.edge_slot_range(v).start;
         for _ in 0..32 {
             let i = self.rng.gen_range(0..nbrs.len());
-            let candidate = nbrs[i];
+            let candidate = nbrs.get(i);
             if self.edge_up[base + i]
                 && (!use_node_mask || self.present[candidate as usize])
                 && !avoid.contains(&candidate)
@@ -379,12 +375,12 @@ impl<'g> UnpackedSimulation<'g> {
         let pool: Vec<NodeId> = nbrs
             .iter()
             .enumerate()
-            .filter(|&(i, &u)| {
+            .filter(|&(i, u)| {
                 self.edge_up[base + i]
                     && (!use_node_mask || self.present[u as usize])
                     && !avoid.contains(&u)
             })
-            .map(|(_, &u)| u)
+            .map(|(_, u)| u)
             .collect();
         if pool.is_empty() {
             None

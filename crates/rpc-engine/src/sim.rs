@@ -1570,7 +1570,7 @@ mod tests {
         for _ in 0..20 {
             let mut transfers = Vec::new();
             for v in 0..6u32 {
-                for &u in g.neighbors(v) {
+                for u in g.neighbors(v).iter() {
                     transfers.push(Transfer::new(v, u));
                 }
             }
@@ -1587,7 +1587,7 @@ mod tests {
         let mut par = Simulation::new(&g, 5).with_threads(4);
         // Build a deterministic, fairly dense transfer batch.
         for v in g.nodes() {
-            for &u in g.neighbors(v).iter().take(3) {
+            for u in g.neighbors(v).iter().take(3) {
                 transfers.push(Transfer::new(v, u));
             }
         }
@@ -1612,7 +1612,7 @@ mod tests {
         let g = ErdosRenyi::with_expected_degree(1024, 8.0).generate(7);
         let mut transfers = Vec::new();
         for v in g.nodes() {
-            if let Some(&u) = g.neighbors(v).first() {
+            if let Some(u) = g.neighbors(v).first() {
                 transfers.push(Transfer::new(v, u));
             }
         }
@@ -1651,7 +1651,7 @@ mod tests {
             let mut sim = arena.checkout(&g, seed);
             let mut transfers = Vec::new();
             for v in g.nodes() {
-                for &u in g.neighbors(v).iter().take(2) {
+                for u in g.neighbors(v).iter().take(2) {
                     transfers.push(Transfer::new(v, u));
                 }
             }
@@ -1854,7 +1854,7 @@ mod tests {
         let g = ErdosRenyi::with_expected_degree(128, 10.0).generate(6);
         let mut transfers = Vec::new();
         for v in g.nodes() {
-            for &u in g.neighbors(v).iter().take(2) {
+            for u in g.neighbors(v).iter().take(2) {
                 transfers.push(Transfer::new(v, u));
             }
         }
@@ -1900,7 +1900,7 @@ mod tests {
             for v in g.nodes() {
                 let nbrs = g.neighbors(v);
                 if !nbrs.is_empty() {
-                    let u = nbrs[(v as usize + round as usize) % nbrs.len()];
+                    let u = nbrs.get((v as usize + round as usize) % nbrs.len());
                     transfers.push(Transfer::new(v, u));
                     transfers.push(Transfer::new(u, v));
                 }
@@ -2068,7 +2068,7 @@ mod tests {
             for v in g.nodes() {
                 let nbrs = g.neighbors(v);
                 if !nbrs.is_empty() {
-                    let u = nbrs[(v as usize + round as usize) % nbrs.len()];
+                    let u = nbrs.get((v as usize + round as usize) % nbrs.len());
                     transfers.push(Transfer::new(v, u));
                     transfers.push(Transfer::new(u, v));
                 }

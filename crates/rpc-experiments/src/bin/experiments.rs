@@ -19,7 +19,7 @@
 //!   phases      Per-phase packet breakdown
 //!   scenario    Built-in scenario registry as one sweep
 //!   sweep       Every experiment above but separation (respects --only)
-//!   all         sweep + separation
+//!   all         sweep + separation (respects --only)
 //!   profile     Aggregate a recorded trace into a per-cell timing table
 //!   node        Serve one gossip node over JSON lines on stdin/stdout
 //!   cluster     Run a scenario as an in-process node cluster under a nemesis
@@ -42,6 +42,11 @@
 //! one process and injects faults per the `--nemesis` grammar
 //! (`drop=0.1,delay=0.2:3,duplicate=0.05,partition=4:2,crash=3@5+4,seed=9`);
 //! `--require-complete` exits nonzero unless the stop rule was satisfied.
+//!
+//! `--only NAME` restricts `sweep` and `all` to the named experiments. An
+//! unknown name, or a list that selects nothing the subcommand runs (such as
+//! `sweep --only separation`: only `all` and `separation` run separation),
+//! fails the command before the trace or any output file is touched.
 //!
 //! `--profile` (or `--trace-out FILE`) streams every sweep's observability
 //! events — dispatch decisions, pool/arena stats, per-repetition wall-clock —
@@ -287,6 +292,16 @@ fn sweep_command(name: &str) -> Option<fn(&RunOpts) -> CmdResult> {
     Some(run)
 }
 
+/// Whether the sweep subcommand `command` runs `experiment` when `--only`
+/// names it.
+fn runs(command: &str, experiment: &str) -> bool {
+    match command {
+        "sweep" => SWEEP_EXPERIMENTS.iter().any(|&(name, _)| name == experiment),
+        "all" => experiment == "separation" || runs("sweep", experiment),
+        _ => command == experiment,
+    }
+}
+
 /// Aggregates a JSON-lines trace (from `--profile` / `--trace-out`) into the
 /// per-cell, per-core timing table.
 fn run_profile(opts: &RunOpts) -> CmdResult {
@@ -436,16 +451,22 @@ fn main() -> ExitCode {
 
 /// Runs a subcommand that takes the sweep options. Only a sweep subcommand
 /// empties the trace file: `profile` reads it, and `help` or a mistyped
-/// name must leave it alone. A trace file that cannot be created, or an
-/// `--only` naming no experiment (which would run nothing), fails the
-/// command before any sweep runs.
+/// name must leave it alone. A trace file that cannot be created, an
+/// `--only` naming no experiment, or an `--only` selecting nothing the
+/// subcommand runs (both would run nothing) fails the command before any
+/// sweep runs or any file is touched.
 fn run_with_sweep_options(command: &str, opts: &RunOpts) -> CmdResult {
     if let Some(run) = sweep_command(command) {
-        let known = |name: &str| {
-            name == "separation" || SWEEP_EXPERIMENTS.iter().any(|&(known, _)| known == name)
-        };
-        if let Some(unknown) = opts.only.iter().find(|name| !known(name)) {
+        if let Some(unknown) = opts.only.iter().find(|name| !runs("all", name)) {
             return Err(format!("unknown experiment {unknown}"));
+        }
+        if !opts.only.is_empty() && !opts.only.iter().any(|name| runs(command, name)) {
+            let hint = if opts.only.iter().any(|name| name == "separation") {
+                "; separation runs only under `all` or `separation`"
+            } else {
+                ""
+            };
+            return Err(format!("--only selects nothing `{command}` runs{hint}"));
         }
         if let Some(path) = opts.trace_path() {
             create_trace(&path)?;

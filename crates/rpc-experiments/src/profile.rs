@@ -64,12 +64,33 @@ fn str_field(fields: &[(String, JsonValue)], key: &str) -> Option<String> {
     field(fields, key)?.as_str().map(str::to_string)
 }
 
-fn u64_field(fields: &[(String, JsonValue)], key: &str) -> u64 {
-    field(fields, key).and_then(JsonValue::as_u64).unwrap_or(0)
+/// A count field of the trace line numbered `line`: absent, it reads as 0;
+/// present, it must be a count ([`JsonValue::as_u64`]).
+fn count_field(fields: &[(String, JsonValue)], key: &str, line: usize) -> Result<u64, String> {
+    match field(fields, key) {
+        None => Ok(0),
+        Some(value) => value
+            .as_u64()
+            .ok_or_else(|| format!("line {line}: `{key}` is not a whole number from 0 to 2^53")),
+    }
+}
+
+/// Adds the count field `key` of line `line` to a per-cell total.
+fn add_count(
+    total: &mut u64,
+    fields: &[(String, JsonValue)],
+    key: &str,
+    line: usize,
+) -> Result<(), String> {
+    *total = total
+        .checked_add(count_field(fields, key, line)?)
+        .ok_or_else(|| format!("line {line}: the cell's `{key}` total overflows u64"))?;
+    Ok(())
 }
 
 /// Folds a JSON-lines trace into per-cell rows, in first-appearance order.
-/// Unparseable lines are reported as errors (a trace is machine-written;
+/// Unparseable lines, count fields that are not counts and per-cell totals
+/// that overflow `u64` are reported as errors (a trace is machine-written;
 /// corruption should be loud), unknown event kinds are skipped (forward
 /// compatibility with richer traces).
 pub fn aggregate<I: IntoIterator<Item = String>>(lines: I) -> Result<Vec<ProfileRow>, String> {
@@ -101,12 +122,13 @@ pub fn aggregate<I: IntoIterator<Item = String>>(lines: I) -> Result<Vec<Profile
                 };
                 let idx = row(sweep, cell, &mut rows);
                 let r = &mut rows[idx];
+                let line = lineno + 1;
                 r.reps_run += 1;
-                r.rounds += u64_field(&fields, "rounds");
-                r.wall_nanos += u64_field(&fields, "wall_nanos");
-                r.cores.scalar += u64_field(&fields, "scalar_rounds");
-                r.cores.eager += u64_field(&fields, "eager_rounds");
-                r.cores.batch += u64_field(&fields, "batch_rounds");
+                add_count(&mut r.rounds, &fields, "rounds", line)?;
+                add_count(&mut r.wall_nanos, &fields, "wall_nanos", line)?;
+                add_count(&mut r.cores.scalar, &fields, "scalar_rounds", line)?;
+                add_count(&mut r.cores.eager, &fields, "eager_rounds", line)?;
+                add_count(&mut r.cores.batch, &fields, "batch_rounds", line)?;
             }
             "cell-finished" => {
                 let (Some(sweep), Some(cell)) =
@@ -115,8 +137,10 @@ pub fn aggregate<I: IntoIterator<Item = String>>(lines: I) -> Result<Vec<Profile
                     return Err(format!("line {}: cell-finished without sweep/cell", lineno + 1));
                 };
                 let cached = field(&fields, "cached").and_then(JsonValue::as_bool).unwrap_or(false);
+                let reps = count_field(&fields, "reps", lineno + 1)?;
                 let idx = row(sweep, cell, &mut rows);
-                rows[idx].reps_kept = u64_field(&fields, "reps") as usize;
+                rows[idx].reps_kept = usize::try_from(reps)
+                    .map_err(|_| format!("line {}: `reps` exceeds usize", lineno + 1))?;
                 rows[idx].cached = cached;
             }
             _ => {}
@@ -256,6 +280,27 @@ mod tests {
         let json = to_json(&rows);
         assert!(json.contains("\"cell\":\"a\""));
         assert!(json.contains("\"cached\":true"));
+    }
+
+    #[test]
+    fn count_fields_that_are_not_counts_are_line_errors() {
+        let rep = |wall: &str| {
+            format!(
+                r#"{{"ev":"rep-finished","sweep":"s","cell":"c","rounds":1,"wall_nanos":{wall}}}"#
+            )
+        };
+        let ok = rep("7");
+        for bad in ["4e45032", "-1", "1.5", "\"7\"", "1e20"] {
+            let err = aggregate(vec![ok.clone(), rep(bad)]).unwrap_err();
+            assert!(err.starts_with("line 2: `wall_nanos`"), "{bad}: {err}");
+        }
+        let kept = r#"{"ev":"cell-finished","sweep":"s","cell":"c","reps":-3}"#;
+        assert!(aggregate(vec![kept.to_string()]).unwrap_err().starts_with("line 1: `reps`"));
+        // 2^53 is the largest count; 2048 of them sum to 2^64.
+        let big = rep("9007199254740992");
+        assert_eq!(aggregate(vec![big.clone(); 2047]).unwrap()[0].wall_nanos, 2047 << 53);
+        let err = aggregate(vec![big; 2048]).unwrap_err();
+        assert!(err.starts_with("line 2048: the cell's `wall_nanos` total overflows"), "{err}");
     }
 
     #[test]

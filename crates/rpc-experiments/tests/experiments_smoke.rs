@@ -210,6 +210,43 @@ fn unknown_only_names_fail_before_the_trace_is_touched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn only_selecting_nothing_the_command_runs_fails_before_the_trace_is_touched() {
+    let dir = scratch_dir("empty-only");
+    std::fs::create_dir_all(&dir).expect("scratch dir should be creatable");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(&trace, "{\"ev\":\"kept\"}\n").expect("trace should be writable");
+    for (command, only, hint) in [
+        ("sweep", "separation", true),
+        ("fig1", "separation", true),
+        ("separation", "fig1", false),
+        ("fig1", "theory", false),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([command, "--quick", "--only", only, "--out"])
+            .arg(dir.join("out"))
+            .arg("--trace-out")
+            .arg(&trace)
+            .output()
+            .expect("experiments binary should spawn");
+        assert_eq!(output.status.code(), Some(1), "{command} --only {only}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("error: --only selects nothing `{command}` runs")),
+            "stderr: {stderr}"
+        );
+        assert_eq!(
+            stderr.contains("separation runs only under `all` or `separation`"),
+            hint,
+            "stderr: {stderr}"
+        );
+        let kept = std::fs::read_to_string(&trace).expect("trace should still exist");
+        assert_eq!(kept, "{\"ev\":\"kept\"}\n", "`{command} --only {only}` rewrote the trace");
+        assert!(!dir.join("out").exists(), "`{command} --only {only}` wrote output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `informed_nodes` line of `experiments cluster`'s summary.
 fn cluster_informed_nodes(nemesis: &str) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -232,6 +269,19 @@ fn cluster_summary_counts_only_fully_informed_nodes() {
     // Every message dropped: no node learns a rumor besides its own.
     assert_eq!(cluster_informed_nodes("drop=1.0,seed=4"), "0/16");
     assert_eq!(cluster_informed_nodes(""), "16/16");
+}
+
+#[test]
+fn cluster_crash_aimed_at_a_missing_node_fails_the_command() {
+    let output = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["cluster", "--scenario", "sparse-er", "--n", "16", "--seed", "1"])
+        .args(["--nemesis", "crash=999@1+2"])
+        .output()
+        .expect("experiments binary should spawn");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("crash targets node 999") && stderr.contains("n = 16"), "{stderr}");
+    assert!(output.stdout.is_empty(), "a rejected cluster printed a summary");
 }
 
 #[test]

@@ -83,6 +83,13 @@ impl GraphArena {
         &mut self.graph
     }
 
+    /// Makes the arena's graph the implicit `K_n`. The CSR buffers keep
+    /// their capacity for the next sparse build.
+    pub(crate) fn rebuild_complete(&mut self, n: usize) {
+        self.record_build();
+        self.graph.rebuild_complete(n);
+    }
+
     /// Rebuilds the arena's graph from the edges currently in the edge
     /// buffer (see [`Graph::rebuild_from_edges`]).
     pub(crate) fn rebuild_from_edges(&mut self, n: usize) {

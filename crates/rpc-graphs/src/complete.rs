@@ -4,8 +4,15 @@
 //! (Karp et al., FOCS 2000; Berenbrink et al., ICALP 2010). The paper's main
 //! question is whether results for `K_n` carry over to sparse random graphs,
 //! so `K_n` is the baseline topology for every comparison experiment.
+//!
+//! The generated [`Graph`] is implicit: it stores `n` and nothing that grows
+//! with it, so neither [`GraphGenerator::generate`] nor
+//! [`GraphGenerator::generate_into`] allocates `n(n − 1)` neighbor ids. It
+//! answers every query, and every random draw, exactly like `K_n` built from
+//! explicit adjacency lists (see [`crate::csr`]).
 
-use crate::csr::{Graph, NodeId};
+use crate::arena::GraphArena;
+use crate::csr::Graph;
 use crate::generator::GraphGenerator;
 
 /// Generator for the complete graph on `n` nodes.
@@ -35,38 +42,11 @@ impl GraphGenerator for CompleteGraph {
     }
 
     fn generate(&self, _seed: u64) -> Graph {
-        let mut adjacency: Vec<Vec<NodeId>> = Vec::with_capacity(self.n);
-        for v in 0..self.n as NodeId {
-            let mut nbrs = Vec::with_capacity(self.n.saturating_sub(1));
-            for u in 0..self.n as NodeId {
-                if u != v {
-                    nbrs.push(u);
-                }
-            }
-            adjacency.push(nbrs);
-        }
-        Graph::from_adjacency(adjacency)
+        Graph::complete(self.n)
     }
 
-    fn generate_into(&self, _seed: u64, arena: &mut crate::arena::GraphArena) {
-        // K_n's adjacency is deterministic and already sorted, so it is
-        // written straight into the CSR arrays: node v's neighbors are
-        // 0..n without v.
-        let n = self.n;
-        let deg = n.saturating_sub(1);
-        let (offsets, neighbors) = arena.graph_mut().storage_mut();
-        offsets.clear();
-        offsets.reserve(n + 1);
-        for i in 0..=n {
-            offsets.push(i * deg);
-        }
-        neighbors.clear();
-        neighbors.reserve(n * deg);
-        for v in 0..n as NodeId {
-            // Two branch-free range appends instead of a per-entry skip test.
-            neighbors.extend(0..v);
-            neighbors.extend((v + 1)..n as NodeId);
-        }
+    fn generate_into(&self, _seed: u64, arena: &mut GraphArena) {
+        arena.rebuild_complete(self.n);
     }
 
     fn label(&self) -> String {

@@ -1,10 +1,21 @@
-//! Compressed sparse row (CSR) graph representation.
+//! Compressed sparse row (CSR) graph representation, with an implicit form
+//! for complete graphs.
 //!
 //! All graph models in this crate produce a [`Graph`], an immutable undirected
-//! graph stored as two flat arrays (`offsets`, `neighbors`). This keeps a
-//! million-node Erdős–Rényi graph with expected degree `log² n ≈ 400` at
-//! roughly 1.6 GB of adjacency data and, more importantly for the simulator,
-//! makes "pick a uniformly random neighbor" a single array index.
+//! graph. Sparse graphs are stored as two flat arrays (`offsets`,
+//! `neighbors`). This keeps a million-node Erdős–Rényi graph with expected
+//! degree `log² n ≈ 400` at roughly 1.6 GB of adjacency data and, more
+//! importantly for the simulator, makes "pick a uniformly random neighbor" a
+//! single array index.
+//!
+//! The complete graph `K_n` stores only `n`. Its CSR arrays would hold all
+//! `n(n − 1)` neighbor ids (64 MiB at `n = 4096`, 1 GiB at `n = 16384`), yet
+//! every list is `0..n` without the node itself. So neighbor `i` of `v` is
+//! `i + (i >= v)`, and `v`'s first edge slot is `v · (n − 1)`: exactly the
+//! entries a materialized `K_n` would hold. Every query and every selection
+//! primitive answers from that rule, consuming the same RNG draws and
+//! returning the same nodes as on the materialized graph. Equality compares
+//! adjacency, so the two forms of `K_n` are equal.
 
 use rand::Rng;
 
@@ -12,21 +23,50 @@ use rand::Rng;
 /// 32-bit id halves the adjacency memory compared to `usize`.
 pub type NodeId = u32;
 
-/// An immutable undirected (multi-)graph in CSR form.
+/// An immutable undirected (multi-)graph in CSR form, or an implicit `K_n`.
 ///
 /// Self-loops and parallel edges are representable (the configuration model
 /// can produce a constant number of them, see Section 2 of the paper); the
 /// generators document whether they emit them.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes the neighbor slice of node `v`.
+    /// Empty while `complete` is set.
     offsets: Vec<usize>,
     /// Concatenated adjacency lists; each undirected edge appears twice
     /// (once per endpoint), a self-loop appears twice at its single endpoint.
+    /// Empty while `complete` is set.
     neighbors: Vec<NodeId>,
+    /// `Some(n)`: this is the complete graph `K_n`, whose adjacency is
+    /// implicit. Every CSR build clears it.
+    complete: Option<usize>,
 }
 
+/// Equality compares adjacency, not storage: an implicit `K_n` equals the
+/// same graph built from explicit lists.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_nodes() == other.num_nodes()
+            && self.nodes().all(|v| self.neighbors(v).iter().eq(other.neighbors(v).iter()))
+    }
+}
+
+impl Eq for Graph {}
+
 impl Graph {
+    /// The complete graph `K_n` in its implicit form: it stores `n` only.
+    pub(crate) fn complete(n: usize) -> Self {
+        Self { offsets: Vec::new(), neighbors: Vec::new(), complete: Some(n) }
+    }
+
+    /// Turns this graph into the implicit `K_n` in place. The CSR buffers
+    /// are emptied but keep their capacity for a later CSR build.
+    pub(crate) fn rebuild_complete(&mut self, n: usize) {
+        self.offsets.clear();
+        self.neighbors.clear();
+        self.complete = Some(n);
+    }
+
     /// Builds a graph with `n` nodes from a list of undirected edges.
     ///
     /// Edges may be given in any order; `(u, v)` and `(v, u)` denote the same
@@ -53,7 +93,7 @@ impl Graph {
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        let mut graph = Self { offsets, neighbors };
+        let mut graph = Self { offsets, neighbors, complete: None };
         graph.sort_adjacency();
         graph
     }
@@ -75,7 +115,7 @@ impl Graph {
         for list in adjacency {
             neighbors.extend_from_slice(&list);
         }
-        let mut graph = Self { offsets, neighbors };
+        let mut graph = Self { offsets, neighbors, complete: None };
         graph.sort_adjacency();
         debug_assert!(graph.is_symmetric(), "adjacency lists are not symmetric");
         graph
@@ -121,13 +161,15 @@ impl Graph {
     ) {
         self.rebuild_scatter(n, edges, scratch);
         debug_assert!(
-            (0..n).all(|v| self.neighbors(v as NodeId).windows(2).all(|w| w[0] <= w[1])),
+            (0..n).all(|v| self.csr_neighbors(v as NodeId).windows(2).all(|w| w[0] <= w[1])),
             "edge emission order did not scatter into sorted adjacency"
         );
     }
 
-    /// The shared build core: degree count, prefix offsets, scatter.
+    /// The shared build core: degree count, prefix offsets, scatter. The
+    /// result is a CSR graph, whatever this graph was before.
     fn rebuild_scatter(&mut self, n: usize, edges: &[(NodeId, NodeId)], scratch: &mut Vec<usize>) {
+        self.complete = None;
         scratch.clear();
         scratch.resize(n, 0);
         for &(u, v) in edges {
@@ -155,15 +197,6 @@ impl Graph {
         }
     }
 
-    /// Raw CSR storage for in-crate generators that fill the adjacency
-    /// directly (e.g. the complete graph, whose neighbor lists need no edge
-    /// list or sorting pass). Callers must leave the arrays in a valid CSR
-    /// state: monotone offsets with `offsets[0] == 0`, sorted symmetric
-    /// adjacency.
-    pub(crate) fn storage_mut(&mut self) -> (&mut Vec<usize>, &mut Vec<NodeId>) {
-        (&mut self.offsets, &mut self.neighbors)
-    }
-
     fn sort_adjacency(&mut self) {
         for v in 0..self.num_nodes() {
             let (a, b) = (self.offsets[v], self.offsets[v + 1]);
@@ -179,7 +212,7 @@ impl Graph {
         let mut forward: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.neighbors.len());
         let mut backward: Vec<(NodeId, NodeId)> = Vec::with_capacity(self.neighbors.len());
         for v in self.nodes() {
-            for &u in self.neighbors(v) {
+            for u in self.neighbors(v).iter() {
                 forward.push((v, u));
                 backward.push((u, v));
             }
@@ -191,37 +224,50 @@ impl Graph {
 
     /// Number of nodes `n`.
     pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
+        self.complete.unwrap_or_else(|| self.offsets.len() - 1)
     }
 
     /// Number of undirected edges (self-loops count once, parallel edges each).
     pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
+        self.num_edge_slots() / 2
     }
 
     /// Degree of node `v` (self-loops contribute 2, matching the CSR storage).
     pub fn degree(&self, v: NodeId) -> usize {
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        self.neighbors(v).len()
     }
 
-    /// Neighbor slice of node `v`, sorted ascending.
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+    /// The neighbor list of node `v`, sorted ascending. Panics if `v` is not
+    /// a node.
+    pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
+        match self.complete {
+            Some(n) => Neighbors::all_but(n, v),
+            None => Neighbors(NeighborList::Listed(self.csr_neighbors(v))),
+        }
+    }
+
+    /// The stored neighbor slice of `v` in a CSR graph.
+    fn csr_neighbors(&self, v: NodeId) -> &[NodeId] {
         let v = v as usize;
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// Whether the edge `{u, v}` exists (binary search, `O(log deg)`).
+    /// Whether the edge `{u, v}` exists (`O(log deg)`).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        self.neighbors(u).contains(v)
     }
 
     /// A uniformly random neighbor of `v`, or `None` if `v` is isolated.
     ///
     /// This is the core primitive of the random phone call model: "every node
-    /// opens a communication channel to a randomly chosen neighbor".
+    /// opens a communication channel to a randomly chosen neighbor". The
+    /// node runtime calls it `n` times per actor per round, so the CSR path
+    /// indexes the slice directly and `K_n` takes one early branch.
     pub fn random_neighbor<R: Rng + ?Sized>(&self, v: NodeId, rng: &mut R) -> Option<NodeId> {
-        let nbrs = self.neighbors(v);
+        if let Some(n) = self.complete {
+            return random_complete_neighbor(n, v, rng);
+        }
+        let nbrs = self.csr_neighbors(v);
         if nbrs.is_empty() {
             None
         } else {
@@ -250,7 +296,7 @@ impl Graph {
         // scan when the neighborhood is tiny (test topologies).
         if nbrs.len() > 4 * avoid.len().max(1) {
             for _ in 0..32 {
-                let candidate = nbrs[rng.gen_range(0..nbrs.len())];
+                let candidate = nbrs.get(rng.gen_range(0..nbrs.len()));
                 if !avoid.contains(&candidate) {
                     return Some(candidate);
                 }
@@ -298,14 +344,23 @@ impl Graph {
     /// endpoint; a self-loop owns two consecutive slots at its endpoint.
     /// Slot indices identify edges for the edge-churn presence masks.
     pub fn num_edge_slots(&self) -> usize {
-        self.neighbors.len()
+        match self.complete {
+            Some(n) => n * n.saturating_sub(1),
+            None => self.neighbors.len(),
+        }
     }
 
     /// The contiguous range of edge slots belonging to node `v`: slot
-    /// `edge_slot_range(v).start + i` holds `neighbors(v)[i]`.
+    /// `edge_slot_range(v).start + i` holds `neighbors(v).get(i)`.
     pub fn edge_slot_range(&self, v: NodeId) -> std::ops::Range<usize> {
         let v = v as usize;
-        self.offsets[v]..self.offsets[v + 1]
+        match self.complete {
+            Some(n) => {
+                let degree = Neighbors::all_but(n, v as NodeId).len();
+                v * degree..(v + 1) * degree
+            }
+            None => self.offsets[v]..self.offsets[v + 1],
+        }
     }
 
     /// A uniformly random neighbor of `v` reachable over an *up* edge:
@@ -321,7 +376,7 @@ impl Graph {
     /// edge are two distinct bits that churn together. `edge_words` is a
     /// packed LSB-first bitset with one bit per slot
     /// ([`Self::num_edge_slots`] bits). The draw shape matches the node
-    /// variant: up to 32 rejection draws over the full neighbor slice, then
+    /// variant: up to 32 rejection draws over the full neighbor list, then
     /// one exact count-and-pick draw.
     pub fn random_neighbor_edge_masked<R: Rng + ?Sized>(
         &self,
@@ -363,7 +418,7 @@ impl Graph {
 
     /// Slot-indexed counterpart of [`Self::random_neighbor_where`]: the
     /// predicate sees the global edge slot alongside the neighbor it holds.
-    /// Same draw shape — up to 32 rejection draws over the neighbor slice,
+    /// Same draw shape — up to 32 rejection draws over the neighbor list,
     /// then one exact count-and-pick — so slot-masked and node-masked
     /// sampling consume identical RNG sequences for identical acceptances.
     fn random_neighbor_slot_where<R: Rng + ?Sized>(
@@ -372,29 +427,30 @@ impl Graph {
         rng: &mut R,
         eligible: impl Fn(usize, NodeId) -> bool,
     ) -> Option<NodeId> {
-        let base = self.offsets[v as usize];
+        let base = self.edge_slot_range(v).start;
         let nbrs = self.neighbors(v);
         if nbrs.is_empty() {
             return None;
         }
         for _ in 0..32 {
             let i = rng.gen_range(0..nbrs.len());
-            if eligible(base + i, nbrs[i]) {
-                return Some(nbrs[i]);
+            let candidate = nbrs.get(i);
+            if eligible(base + i, candidate) {
+                return Some(candidate);
             }
         }
-        let count = nbrs.iter().enumerate().filter(|&(i, &u)| eligible(base + i, u)).count();
+        let count = nbrs.iter().enumerate().filter(|&(i, u)| eligible(base + i, u)).count();
         if count == 0 {
             return None;
         }
         let k = rng.gen_range(0..count);
-        nbrs.iter().enumerate().filter(|&(i, &u)| eligible(base + i, u)).nth(k).map(|(_, &u)| u)
+        nbrs.iter().enumerate().filter(|&(i, u)| eligible(base + i, u)).nth(k).map(|(_, u)| u)
     }
 
     /// Uniform selection among the neighbors satisfying `eligible`: rejection
     /// sampling while the predicate is likely to hit, then an exact two-pass
-    /// count-and-pick directly over the CSR slice, so even the fallback is
-    /// correct without materializing a filtered neighbor list.
+    /// count-and-pick directly over the neighbor list, so even the fallback
+    /// is correct without materializing a filtered neighbor list.
     fn random_neighbor_where<R: Rng + ?Sized>(
         &self,
         v: NodeId,
@@ -406,7 +462,7 @@ impl Graph {
             return None;
         }
         for _ in 0..32 {
-            let candidate = nbrs[rng.gen_range(0..nbrs.len())];
+            let candidate = nbrs.get(rng.gen_range(0..nbrs.len()));
             if eligible(candidate) {
                 return Some(candidate);
             }
@@ -419,7 +475,7 @@ impl Graph {
         if self.num_nodes() == 0 {
             0.0
         } else {
-            self.neighbors.len() as f64 / self.num_nodes() as f64
+            self.num_edge_slots() as f64 / self.num_nodes() as f64
         }
     }
 
@@ -444,11 +500,10 @@ impl Graph {
     /// is reported once.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.nodes().flat_map(move |u| {
-            self.neighbors(u).iter().copied().filter(move |&v| u < v).map(move |v| (u, v)).chain(
+            self.neighbors(u).iter().filter(move |&v| u < v).map(move |v| (u, v)).chain(
                 // Self-loops appear twice in the neighbor list of u; emit half.
                 self.neighbors(u)
                     .iter()
-                    .copied()
                     .filter(move |&v| v == u)
                     .enumerate()
                     .filter(|(i, _)| i % 2 == 0)
@@ -459,28 +514,104 @@ impl Graph {
 
     /// Number of self-loops in the graph.
     pub fn num_self_loops(&self) -> usize {
-        self.nodes().map(|v| self.neighbors(v).iter().filter(|&&u| u == v).count() / 2).sum()
+        self.nodes().map(|v| self.neighbors(v).iter().filter(|&u| u == v).count() / 2).sum()
     }
 
     /// Number of parallel edge *pairs* beyond the first copy of each edge.
     pub fn num_parallel_edges(&self) -> usize {
         let mut extra = 0usize;
         for v in self.nodes() {
-            let nbrs = self.neighbors(v);
-            let mut i = 0;
-            while i < nbrs.len() {
-                let mut j = i + 1;
-                while j < nbrs.len() && nbrs[j] == nbrs[i] {
-                    j += 1;
+            // Lists are sorted, so each repeat of the previous non-loop
+            // neighbor is one extra copy.
+            let mut previous = None;
+            for u in self.neighbors(v).iter() {
+                if u != v && previous == Some(u) {
+                    extra += 1;
                 }
-                if nbrs[i] != v {
-                    extra += (j - i) - 1;
-                }
-                i = j;
+                previous = Some(u);
             }
         }
         extra / 2
     }
+}
+
+/// The sorted neighbor list of one node, as returned by [`Graph::neighbors`]:
+/// a slice of the CSR adjacency, or the implicit list `0..n` without the
+/// node itself in a complete graph.
+#[derive(Clone, Copy, Debug)]
+pub struct Neighbors<'a>(NeighborList<'a>);
+
+#[derive(Clone, Copy, Debug)]
+enum NeighborList<'a> {
+    /// A stored CSR list.
+    Listed(&'a [NodeId]),
+    /// `0..n` without `v`: node `v` of `K_n`.
+    AllBut { n: usize, v: NodeId },
+}
+
+impl<'a> Neighbors<'a> {
+    /// Node `v`'s list in `K_n`. Panics if `v` is not a node.
+    fn all_but(n: usize, v: NodeId) -> Self {
+        assert!((v as usize) < n, "node {v} out of range for K_{n}");
+        Self(NeighborList::AllBut { n, v })
+    }
+
+    /// Number of neighbors: the node's degree.
+    pub fn len(self) -> usize {
+        match self.0 {
+            NeighborList::Listed(list) => list.len(),
+            NeighborList::AllBut { n, .. } => n - 1,
+        }
+    }
+
+    /// Whether the node has no neighbor.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Neighbor `i` in ascending order. Panics if `i >= self.len()`, like
+    /// slice indexing.
+    #[inline]
+    pub fn get(self, i: usize) -> NodeId {
+        match self.0 {
+            NeighborList::Listed(list) => list[i],
+            NeighborList::AllBut { n, v } => {
+                assert!(i < n - 1, "neighbor index {i} out of range for degree {}", n - 1);
+                (i + usize::from(i >= v as usize)) as NodeId
+            }
+        }
+    }
+
+    /// The smallest neighbor, or `None` for an isolated node.
+    pub fn first(self) -> Option<NodeId> {
+        (!self.is_empty()).then(|| self.get(0))
+    }
+
+    /// Whether `u` is a neighbor (`O(log len)`).
+    pub fn contains(self, u: NodeId) -> bool {
+        match self.0 {
+            NeighborList::Listed(list) => list.binary_search(&u).is_ok(),
+            NeighborList::AllBut { n, v } => (u as usize) < n && u != v,
+        }
+    }
+
+    /// The neighbors in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = NodeId> + 'a {
+        let (listed, below, above) = match self.0 {
+            NeighborList::Listed(list) => (list, 0..0, 0..0),
+            NeighborList::AllBut { n, v } => (&[][..], 0..v, v + 1..n as NodeId),
+        };
+        listed.iter().copied().chain(below).chain(above)
+    }
+}
+
+/// [`Graph::random_neighbor`] for node `v` of `K_n`. Out of line: inlined,
+/// it made `random_neighbor` too large to inline into the callers' draw
+/// loops, which slowed the CSR path too.
+#[inline(never)]
+fn random_complete_neighbor<R: Rng + ?Sized>(n: usize, v: NodeId, rng: &mut R) -> Option<NodeId> {
+    let nbrs = Neighbors::all_but(n, v);
+    (!nbrs.is_empty()).then(|| nbrs.get(rng.gen_range(0..nbrs.len())))
 }
 
 /// Whether bit `u` is set in a packed LSB-first mask.
@@ -500,16 +631,16 @@ fn slot_bit(mask_words: &[u64], slot: usize) -> bool {
 /// scan to it. Draw-for-draw equivalent to collecting the eligible elements
 /// and indexing them uniformly (same single `gen_range` over the same count).
 fn kth_eligible<R: Rng + ?Sized>(
-    pool: &[NodeId],
+    pool: Neighbors<'_>,
     rng: &mut R,
     eligible: impl Fn(NodeId) -> bool,
 ) -> Option<NodeId> {
-    let count = pool.iter().filter(|&&u| eligible(u)).count();
+    let count = pool.iter().filter(|&u| eligible(u)).count();
     if count == 0 {
         return None;
     }
     let k = rng.gen_range(0..count);
-    pool.iter().copied().filter(|&u| eligible(u)).nth(k)
+    pool.iter().filter(|&u| eligible(u)).nth(k)
 }
 
 #[cfg(test)]
@@ -530,6 +661,10 @@ mod tests {
         words
     }
 
+    fn listed(g: &Graph, v: NodeId) -> Vec<NodeId> {
+        g.neighbors(v).iter().collect()
+    }
+
     fn triangle() -> Graph {
         Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)])
     }
@@ -539,9 +674,9 @@ mod tests {
         let g = triangle();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.neighbors(1), &[0, 2]);
-        assert_eq!(g.neighbors(2), &[0, 1]);
+        assert_eq!(listed(&g, 0), [1, 2]);
+        assert_eq!(listed(&g, 1), [0, 2]);
+        assert_eq!(listed(&g, 2), [0, 1]);
         assert_eq!(g.degree(0), 2);
         assert!(g.has_edge(0, 2));
         assert!(!g.has_edge(0, 0));
@@ -551,7 +686,7 @@ mod tests {
     fn from_adjacency_roundtrips() {
         let g = Graph::from_adjacency(vec![vec![1], vec![0, 2], vec![1]]);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(listed(&g, 1), [0, 2]);
         assert_eq!(g.average_degree(), 4.0 / 3.0);
     }
 
@@ -575,7 +710,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..100 {
             let u = g.random_neighbor(0, &mut rng).unwrap();
-            assert!(g.neighbors(0).contains(&u));
+            assert!(g.neighbors(0).contains(u));
         }
     }
 
@@ -679,7 +814,7 @@ mod tests {
         // Take down the slots of node 0 holding neighbors 1 and 3.
         let mut up = vec![true; g.num_edge_slots()];
         let base = g.edge_slot_range(0).start;
-        for (i, &u) in g.neighbors(0).iter().enumerate() {
+        for (i, u) in g.neighbors(0).iter().enumerate() {
             if u == 1 || u == 3 {
                 up[base + i] = false;
             }
@@ -699,7 +834,7 @@ mod tests {
         // Edge to 1 is down, node 2 is departed: only 3 and 4 remain.
         let mut up = vec![true; g.num_edge_slots()];
         let base = g.edge_slot_range(0).start;
-        up[base + g.neighbors(0).iter().position(|&u| u == 1).unwrap()] = false;
+        up[base + g.neighbors(0).iter().position(|u| u == 1).unwrap()] = false;
         let edge_mask = pack_mask(&up);
         let node_mask = pack_mask(&[true, true, false, true, true]);
         let mut seen = std::collections::HashSet::new();

@@ -15,9 +15,10 @@
 //!   Karp et al. and Berenbrink et al.
 //!
 //! Graphs are stored in a compact CSR (compressed sparse row) representation
-//! ([`csr::Graph`]) sized for simulations with up to a few million nodes. All
-//! generators are deterministic given a seed so that every experiment in the
-//! repository can be reproduced bit-for-bit.
+//! ([`csr::Graph`]) sized for simulations with up to a few million nodes;
+//! `K_n` is implicit and stores only `n`. All generators are deterministic
+//! given a seed so that every experiment in the repository can be reproduced
+//! bit-for-bit.
 //!
 //! ```
 //! use rpc_graphs::prelude::*;
@@ -45,7 +46,7 @@ pub mod topology;
 pub use arena::GraphArena;
 pub use complete::CompleteGraph;
 pub use config_model::ConfigurationModel;
-pub use csr::{Graph, NodeId};
+pub use csr::{Graph, Neighbors, NodeId};
 pub use erdos_renyi::ErdosRenyi;
 pub use generator::GraphGenerator;
 pub use regular::RandomRegular;
@@ -55,7 +56,7 @@ pub mod prelude {
     pub use crate::arena::GraphArena;
     pub use crate::complete::CompleteGraph;
     pub use crate::config_model::ConfigurationModel;
-    pub use crate::csr::{Graph, NodeId};
+    pub use crate::csr::{Graph, Neighbors, NodeId};
     pub use crate::erdos_renyi::ErdosRenyi;
     pub use crate::generator::GraphGenerator;
     pub use crate::properties::{connected_components, degree_stats, is_connected, DegreeStats};

@@ -44,7 +44,7 @@ pub fn bfs_distances(graph: &Graph, source: NodeId) -> Vec<Option<u32>> {
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v as usize].unwrap();
-        for &u in graph.neighbors(v) {
+        for u in graph.neighbors(v).iter() {
             if dist[u as usize].is_none() {
                 dist[u as usize] = Some(dv + 1);
                 queue.push_back(u);
@@ -67,7 +67,7 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
         component[start] = next;
         queue.push_back(start as NodeId);
         while let Some(v) = queue.pop_front() {
-            for &u in graph.neighbors(v) {
+            for u in graph.neighbors(v).iter() {
                 if component[u as usize] == usize::MAX {
                     component[u as usize] = next;
                     queue.push_back(u);
@@ -126,7 +126,7 @@ pub fn ball_edge_count(graph: &Graph, v: NodeId, radius: u32) -> usize {
         if !in_ball(u) {
             continue;
         }
-        for &w in graph.neighbors(u) {
+        for w in graph.neighbors(u).iter() {
             if w >= u && in_ball(w) {
                 count += 1;
             }

@@ -38,11 +38,16 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload truncated to `u64`, if this is a non-negative
-    /// number.
+    /// The numeric payload as a count: `Some` only for a whole number from
+    /// 0 to 2^53, the range in which `f64` holds every integer exactly. A
+    /// fraction, a negative, or an exponent that overflowed (`4e45032`
+    /// parses as infinity) is `None`, never a truncated or saturated value.
     pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
-            JsonValue::Num(x) if *x >= 0.0 => Some(*x as u64),
+            JsonValue::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= MAX_EXACT => {
+                Some(*x as u64)
+            }
             _ => None,
         }
     }
@@ -241,6 +246,16 @@ mod tests {
         assert_eq!(pairs[2].1.as_bool(), Some(true));
         assert_eq!(pairs[3].1, JsonValue::Null);
         assert_eq!(pairs[4].1.as_f64(), Some(-1.5));
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_counts() {
+        let count = |text: &str| parse_object(&format!(r#"{{"n":{text}}}"#)).unwrap()[0].1.as_u64();
+        assert_eq!(count("0"), Some(0));
+        assert_eq!(count("9007199254740992"), Some(1 << 53));
+        for bad in ["1.5", "-1", "4e45032", "9007199254740994", "\"7\""] {
+            assert_eq!(count(bad), None, "{bad}");
+        }
     }
 
     #[test]

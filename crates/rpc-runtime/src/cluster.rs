@@ -16,7 +16,9 @@
 //! rumor store words; when the window closes, a fresh actor is rebuilt from
 //! the persisted words via [`NodeActor::restart`]. The persisted snapshots
 //! are kept in the outcome's [`CrashAudit`]s so tests can assert that a
-//! rejoined node's final state contains everything it had saved.
+//! rejoined node's final state contains everything it had saved. A crash
+//! aimed at a node the cluster does not have is a
+//! [`ScenarioError::Invalid`] before round 0, not a window that never opens.
 
 use std::collections::BinaryHeap;
 
@@ -141,7 +143,8 @@ pub fn run_cluster(
 
 /// [`run_cluster`] with an observer receiving the full event stream:
 /// per-round `Round` events, `TransportFault`s, `RetryTimeout`s and
-/// `RoundAdvanced`s.
+/// `RoundAdvanced`s. Fails with [`ScenarioError::Invalid`], before any
+/// event, if a nemesis crash names a node outside `0..n`.
 pub fn run_cluster_observed<O: Observer>(
     scenario: &Scenario,
     seed: u64,
@@ -151,6 +154,12 @@ pub fn run_cluster_observed<O: Observer>(
     let graph = scenario.topology.build().generate(scenario_engine_seeds(seed).0);
     let plan = plan_runtime(scenario, seed, &graph)?;
     let n = plan.n;
+    if let Some(crash) = config.nemesis.crashes.iter().find(|c| c.node as usize >= n) {
+        return Err(ScenarioError::Invalid(format!(
+            "nemesis crash targets node {}, but the cluster has n = {n} nodes (0..{n})",
+            crash.node
+        )));
+    }
 
     // `None` while the node is inside a crash window.
     let mut actors: Vec<Option<NodeActor<'_>>> =
@@ -318,6 +327,39 @@ mod tests {
         assert!(outcome.completed, "stopped by {:?}", outcome.stopped_by);
         assert!(!outcome.forged);
         assert!(outcome.faults.dropped > 0, "the nemesis actually dropped packets");
+    }
+
+    #[test]
+    fn crash_aimed_at_a_missing_node_is_rejected_before_round_zero() {
+        /// Counts the events of a run that has started.
+        struct Events(usize);
+        impl Observer for Events {
+            fn record(&mut self, _event: &rpc_obs::ObsEvent<'_>) {
+                self.0 += 1;
+            }
+        }
+        let scenario = registry::find("sparse-er", 16).unwrap();
+        for (spec, node) in [("crash=999@1+2", 999), ("crash=2@1+1,crash=16@3+1", 16)] {
+            let config = ClusterConfig {
+                nemesis: NemesisSpec::parse(spec).unwrap(),
+                ..ClusterConfig::default()
+            };
+            let mut obs = Events(0);
+            match run_cluster_observed(&scenario, 1, &config, &mut obs) {
+                Err(ScenarioError::Invalid(msg)) => {
+                    assert!(msg.contains(&format!("node {node}")), "{msg}");
+                    assert!(msg.contains("n = 16"), "{msg}");
+                }
+                other => panic!("{spec}: expected Invalid, got {other:?}"),
+            }
+            assert_eq!(obs.0, 0, "{spec}: the run started");
+        }
+        // The last node is a valid target.
+        let config = ClusterConfig {
+            nemesis: NemesisSpec::parse("crash=15@1+1,seed=2").unwrap(),
+            ..ClusterConfig::default()
+        };
+        assert_eq!(run_cluster(&scenario, 1, &config).unwrap().faults.crashes, 1);
     }
 
     #[test]

@@ -358,15 +358,11 @@ impl Fields<'_> {
         self.get(field)?.as_str().ok_or(WireError::BadField { field })
     }
 
+    /// Counters must be whole numbers exactly representable in f64 (see
+    /// `JsonValue::as_u64`); anything else on the wire is a corrupt message,
+    /// not a value.
     fn u64(&self, field: &'static str) -> Result<u64, WireError> {
-        let x = self.get(field)?.as_f64().ok_or(WireError::BadField { field })?;
-        // Counters must be non-negative integers exactly representable in
-        // f64; anything else on the wire is a corrupt message, not a value.
-        if x >= 0.0 && x.fract() == 0.0 && x <= 9.007_199_254_740_992e15 {
-            Ok(x as u64)
-        } else {
-            Err(WireError::BadField { field })
-        }
+        self.get(field)?.as_u64().ok_or(WireError::BadField { field })
     }
 
     fn bool(&self, field: &'static str) -> Result<bool, WireError> {

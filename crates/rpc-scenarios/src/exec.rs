@@ -990,36 +990,31 @@ fn schedule_environment<E: Engine>(scenario: &Scenario, env_rng: &mut SmallRng, 
     }
 }
 
-/// Enumerates the graph's undirected edges as pairs of directed CSR slot
+/// Enumerates the graph's undirected edges as pairs of directed edge slot
 /// indices, so an edge-churn wave can take both directions of an edge down
 /// together.
 ///
-/// The adjacency is sorted per node, so parallel edges form contiguous runs;
-/// the `k`-th occurrence of `u` in `v`'s list (with `u > v`) pairs with the
-/// `k`-th occurrence of `v` in `u`'s list. Self-loop slots are excluded —
-/// a self-loop carries no information anyway (self-delivery is a no-op).
+/// Nodes are visited in ascending order and every list is sorted, so the
+/// slots of `u`'s list that hold smaller endpoints are met in slot order:
+/// `cursor[u]` is the first of them not yet paired. The `k`-th occurrence of
+/// `u` in `v`'s list (with `u > v`) thereby pairs with the `k`-th occurrence
+/// of `v` in `u`'s list. Self-loop slots are excluded — a self-loop carries
+/// no information anyway (self-delivery is a no-op).
 fn undirected_slot_pairs(graph: &Graph) -> Vec<(NodeId, NodeId)> {
+    let mut cursor: Vec<usize> = graph.nodes().map(|v| graph.edge_slot_range(v).start).collect();
     let mut pairs = Vec::new();
     for v in graph.nodes() {
-        let base = graph.edge_slot_range(v).start;
-        let nbrs = graph.neighbors(v);
-        let mut i = 0usize;
-        while i < nbrs.len() {
-            let u = nbrs[i];
-            let mut j = i + 1;
-            while j < nbrs.len() && nbrs[j] == u {
-                j += 1;
-            }
+        for (slot, u) in graph.edge_slot_range(v).zip(graph.neighbors(v).iter()) {
             if u > v {
-                let u_base = graph.edge_slot_range(u).start;
-                let u_nbrs = graph.neighbors(u);
-                let first = u_nbrs.partition_point(|&w| w < v);
-                for k in 0..(j - i) {
-                    debug_assert_eq!(u_nbrs.get(first + k), Some(&v), "asymmetric adjacency");
-                    pairs.push(((base + i + k) as NodeId, (u_base + first + k) as NodeId));
-                }
+                let u_slot = cursor[u as usize];
+                debug_assert_eq!(
+                    graph.neighbors(u).get(u_slot - graph.edge_slot_range(u).start),
+                    v,
+                    "asymmetric adjacency"
+                );
+                pairs.push((slot as NodeId, u_slot as NodeId));
+                cursor[u as usize] += 1;
             }
-            i = j;
         }
     }
     pairs
@@ -1489,7 +1484,7 @@ mod tests {
         }
         // Pair count: every non-self-loop undirected edge exactly once.
         let self_loops: usize =
-            g.nodes().map(|v| g.neighbors(v).iter().filter(|&&u| u == v).count()).sum();
+            g.nodes().map(|v| g.neighbors(v).iter().filter(|&u| u == v).count()).sum();
         assert_eq!(2 * pairs.len(), g.num_edge_slots() - self_loops);
         // Endpoint consistency: slot a sits in v's range and holds u; slot b
         // sits in u's range and holds v.
@@ -1500,7 +1495,7 @@ mod tests {
             let target = |slot: NodeId| {
                 let v = owner(slot);
                 let base = g.edge_slot_range(v).start;
-                g.neighbors(v)[slot as usize - base]
+                g.neighbors(v).get(slot as usize - base)
             };
             assert_eq!(target(a), owner(b));
             assert_eq!(target(b), owner(a));

@@ -74,8 +74,8 @@ proptest! {
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
         // Symmetry: u in N(v) iff v in N(u).
         for v in g.nodes() {
-            for &u in g.neighbors(v) {
-                prop_assert!(g.neighbors(u).contains(&v));
+            for u in g.neighbors(v).iter() {
+                prop_assert!(g.neighbors(u).contains(v));
             }
         }
     }
@@ -154,7 +154,7 @@ proptest! {
         let g = topology::ring(n);
         let mut transfers = Vec::new();
         for v in 0..n as u32 {
-            for &u in g.neighbors(v) {
+            for u in g.neighbors(v).iter() {
                 transfers.push(Transfer::new(v, u));
             }
         }
